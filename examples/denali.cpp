@@ -222,10 +222,12 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Stats) {
-      std::printf("; %s: match %.2fs (%u rounds, %zu nodes); "
-                  "max live regs %u; budgets:",
+      std::printf("; %s: match %.2fs (%u rounds, %zu nodes, %llu raw "
+                  "matches, %llu roots pruned); max live regs %u; budgets:",
                   G.Gma.Name.c_str(), G.MatchSeconds, G.Matching.Rounds,
                   G.Matching.FinalNodes,
+                  (unsigned long long)G.Matching.MatchesFound,
+                  (unsigned long long)G.Matching.RootsPruned,
                   alpha::maxLiveRegisters(G.Search.Program));
       for (const codegen::Probe &P : G.Search.Probes)
         std::printf(" %s", codegen::describeProbe(P).c_str());

@@ -216,6 +216,10 @@ public:
   std::optional<std::string> verify(const GmaResult &R, unsigned Trials = 16,
                                     uint64_t Seed = 1) const;
 
+  /// The saturation axioms: the builtin set, then program axioms in the
+  /// order they were added.
+  const std::vector<match::Axiom> &axioms() const { return Axioms; }
+
   /// The evaluator definitions harvested from definitional axioms.
   const ir::Definitions &definitions() const { return Defs; }
 

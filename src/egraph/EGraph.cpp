@@ -42,6 +42,9 @@ ENodeId EGraph::insertNode(ir::OpId Op, std::vector<ClassId> Children,
   assert(CId == ClassStates.size() && "class table out of sync");
   ClassStates.emplace_back();
   Nodes.push_back(ENode{Op, Children, ConstVal, CId, true});
+  NodeEpochs.push_back(0);
+  MemberEpochs.push_back(0);
+  stampNode(NId);
   ++LiveNodeCount;
   Hashcons.emplace(std::move(K), NId);
   ClassStates[CId].Members.push_back(NId);
@@ -117,6 +120,9 @@ void EGraph::conflict(const std::string &Msg) {
 void EGraph::mergeInto(ClassId Root, ClassId Gone) {
   ClassState &RS = ClassStates[Root];
   ClassState &GS = ClassStates[Gone];
+  // Matches can now reach Gone's members through Root's parents.
+  for (ENodeId N : GS.Members)
+    stampMember(N);
   RS.Members.insert(RS.Members.end(), GS.Members.begin(), GS.Members.end());
   GS.Members.clear();
   bool ConstantArrived = false;
@@ -134,10 +140,15 @@ void EGraph::mergeInto(ClassId Root, ClassId Gone) {
   RS.DistinctFrom.insert(RS.DistinctFrom.end(), GS.DistinctFrom.begin(),
                          GS.DistinctFrom.end());
   GS.DistinctFrom.clear();
-  // A newly known constant can enable folds in every parent.
-  if (FoldConstants && ConstantArrived)
-    for (ENodeId P : RS.Parents)
-      FoldQueue.push_back(P);
+  // A newly known constant can enable folds — and constant-pattern
+  // matches — in every parent. Gone's parents are re-canonicalized (and
+  // so stamped) by the next repair anyway.
+  if (ConstantArrived)
+    for (ENodeId P : RS.Parents) {
+      stampNode(P);
+      if (FoldConstants)
+        FoldQueue.push_back(P);
+    }
   if (FoldConstants && ConstantArrived)
     for (ENodeId P : GS.Parents)
       FoldQueue.push_back(P);
@@ -373,8 +384,11 @@ void EGraph::repair(ClassId C) {
       --LiveNodeCount;
     } else {
       Hashcons[NewKey] = NId;
-      if (Changed && FoldConstants)
-        FoldQueue.push_back(NId);
+      if (Changed) {
+        stampNode(NId);
+        if (FoldConstants)
+          FoldQueue.push_back(NId);
+      }
       NewParents.push_back(NId);
     }
   }
@@ -498,6 +512,37 @@ void EGraph::rebuild() {
       break;
   }
   InRebuild = false;
+}
+
+uint32_t EGraph::beginMatchPhase() {
+  // Breadth-first up the parent lists, one level per pass; a class already
+  // summarized at this epoch at a lower level has pushed its parents
+  // already. Dead nodes (retired twins) are matched by nobody.
+  const uint32_t Epoch = ChangeEpoch;
+  std::vector<ClassId> Frontier, Next;
+  Frontier.reserve(Stamped.size());
+  for (ENodeId N : Stamped)
+    if (Nodes[N].Alive)
+      Frontier.push_back(UF.find(Nodes[N].Class));
+  Stamped.clear();
+  for (unsigned Level = 0; Level < ChangeLevels && !Frontier.empty();
+       ++Level) {
+    Next.clear();
+    for (ClassId C : Frontier) {
+      ClassState &CS = ClassStates[C];
+      if (CS.ChangedWithin[Level] == Epoch)
+        continue;
+      for (unsigned L = Level; L < ChangeLevels; ++L)
+        CS.ChangedWithin[L] = Epoch;
+      if (Level + 1 < ChangeLevels)
+        for (ENodeId P : CS.Parents)
+          if (Nodes[P].Alive)
+            Next.push_back(UF.find(Nodes[P].Class));
+    }
+    Frontier.swap(Next);
+  }
+  ++ChangeEpoch;
+  return Epoch;
 }
 
 std::string EGraph::nodeToString(ENodeId NId) const {

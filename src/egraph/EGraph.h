@@ -19,6 +19,11 @@
 /// known 64-bit constant fold through builtin operators (this is how
 /// `mskbl(0, i)` collapses to `0`, enabling further matches).
 ///
+/// For semi-naive matching the graph stamps every node with the latest
+/// *change epoch* at which something a match through it depends on
+/// changed (see nodeEpoch/memberEpoch), and beginMatchPhase() summarizes
+/// those stamps per class a few levels up the parent lists.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DENALI_EGRAPH_EGRAPH_H
@@ -28,6 +33,8 @@
 #include "ir/Term.h"
 #include "support/FunctionRef.h"
 
+#include <array>
+#include <cassert>
 #include <deque>
 #include <optional>
 #include <string>
@@ -269,6 +276,42 @@ public:
   uint64_t version() const { return Version; }
 
   //===--------------------------------------------------------------------===
+  // Change epochs (semi-naive matching)
+  //===--------------------------------------------------------------------===
+
+  /// Levels of the per-class change summary: classChangedWithin() answers
+  /// for 0 .. ChangeLevels-1 levels below a class.
+  static constexpr unsigned ChangeLevels = 4;
+
+  /// Closes the current change epoch E and \returns it. Every node stamped
+  /// since the previous call carries epoch E; its class, the classes of
+  /// its parents, and so on ChangeLevels-1 levels up, get E as their
+  /// change summary. Later mutations stamp epoch E+1 or above, so a
+  /// matcher that enumerated completely during phase E treats the nodes
+  /// stamped past E as new. Call on a rebuilt graph (the matcher calls
+  /// it after each round's rebuild).
+  uint32_t beginMatchPhase();
+
+  /// The latest epoch at which node \p N was created, re-canonicalized,
+  /// or saw a child class gain a constant: what matters when N is the
+  /// root of a match, where its class plays no part.
+  uint32_t nodeEpoch(ENodeId N) const { return NodeEpochs[N]; }
+
+  /// nodeEpoch(), or later if \p N has since moved into another class as
+  /// a member of a merged-away class: what matters when N is reached as
+  /// a member of its class, below the root of a match.
+  uint32_t memberEpoch(ENodeId N) const { return MemberEpochs[N]; }
+
+  /// The latest epoch stamped on any node at most \p Levels levels below
+  /// class \p C (0: C's own members; 1: also the members of their child
+  /// classes; ...), as of the last beginMatchPhase(). \p Levels must be
+  /// below ChangeLevels.
+  uint32_t classChangedWithin(ClassId C, unsigned Levels) const {
+    assert(Levels < ChangeLevels && "change summary is not that deep");
+    return ClassStates[UF.find(C)].ChangedWithin[Levels];
+  }
+
+  //===--------------------------------------------------------------------===
   // Provenance (union-find proof forest)
   //===--------------------------------------------------------------------===
 
@@ -308,6 +351,25 @@ private:
   std::vector<ENode> Nodes;
   size_t LiveNodeCount = 0;
 
+  // Change epochs: two stamps per node, the epoch now being stamped, and
+  // the nodes stamped since the last beginMatchPhase().
+  std::vector<uint32_t> NodeEpochs, MemberEpochs;
+  uint32_t ChangeEpoch = 1;
+  std::vector<ENodeId> Stamped;
+
+  /// Stamps \p N's class membership with the current change epoch.
+  void stampMember(ENodeId N) {
+    if (MemberEpochs[N] == ChangeEpoch)
+      return;
+    MemberEpochs[N] = ChangeEpoch;
+    Stamped.push_back(N);
+  }
+  /// Stamps \p N itself (and so its membership) with the current epoch.
+  void stampNode(ENodeId N) {
+    NodeEpochs[N] = ChangeEpoch;
+    stampMember(N);
+  }
+
   // Canonical-key hashcons.
   struct Key {
     ir::OpId Op;
@@ -335,6 +397,8 @@ private:
     std::vector<ENodeId> Parents; ///< Nodes using this class as a child.
     std::optional<uint64_t> Constant;
     std::vector<ClassId> DistinctFrom; ///< Canonicalize on use.
+    /// Per level k: the latest epoch stamped within k levels below.
+    std::array<uint32_t, ChangeLevels> ChangedWithin{};
   };
   std::vector<ClassState> ClassStates;
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <optional>
 
 using namespace denali;
 using namespace denali::match;
@@ -19,10 +20,81 @@ using namespace denali::egraph;
 
 namespace {
 
+/// Operator-application count of a pattern, by explicit stack (axiom
+/// sides can be arbitrarily deep; nothing in the matcher may recurse on
+/// pattern or graph depth).
+size_t patternAppCount(const Axiom &A, PatternId Root) {
+  size_t Count = 0;
+  std::vector<PatternId> Stack{Root};
+  while (!Stack.empty()) {
+    PatternId P = Stack.back();
+    Stack.pop_back();
+    const PatternNode &N = A.pattern(P);
+    if (N.TheKind != PatternNode::Kind::App)
+      continue;
+    ++Count;
+    Stack.insert(Stack.end(), N.Children.begin(), N.Children.end());
+  }
+  return Count;
+}
+
+/// Levels of App atoms in pattern \p Id (0 for Var/Const), by explicit
+/// stack like patternAppCount.
+unsigned appHeight(const Axiom &A, PatternId Id) {
+  unsigned Height = 0;
+  std::vector<std::pair<PatternId, unsigned>> Stack{{Id, 1}};
+  while (!Stack.empty()) {
+    auto [P, Depth] = Stack.back();
+    Stack.pop_back();
+    const PatternNode &N = A.pattern(P);
+    if (N.TheKind != PatternNode::Kind::App)
+      continue;
+    Height = std::max(Height, Depth);
+    for (PatternId C : N.Children)
+      Stack.push_back({C, Depth + 1});
+  }
+  return Height;
+}
+
+/// What the semi-naive filter needs to know about one trigger, computed
+/// once per saturation, the first time the trigger has roots to match.
+struct TriggerShape {
+  unsigned NumApps = 0; ///< App atoms in the trigger.
+  /// (child index, h - 1) for each App child of App height h: a root
+  /// whose own epoch is old can only start a new match through a class
+  /// changed within h levels below one of these children, which is what
+  /// classChangedWithin(child, h - 1) reports.
+  std::vector<std::pair<size_t, unsigned>> Reach;
+  /// False when some child is deeper than the graph summarizes: then
+  /// every root is a candidate.
+  bool Prunable = true;
+
+  TriggerShape(const Axiom &A, PatternId Trigger)
+      : NumApps(static_cast<unsigned>(patternAppCount(A, Trigger))) {
+    const PatternNode &Root = A.pattern(Trigger);
+    for (size_t I = 0; I < Root.Children.size(); ++I) {
+      unsigned H = appHeight(A, Root.Children[I]);
+      if (H > EGraph::ChangeLevels)
+        Prunable = false;
+      else if (H > 0)
+        Reach.push_back({I, H - 1});
+    }
+  }
+};
+
 /// Backtracking e-matcher for one axiom over a slice of the trigger's root
 /// nodes. Matches are reported through OnMatch; the engine never mutates
 /// the graph (matches are collected and instantiated afterwards), which is
 /// what lets work items run concurrently on a frozen graph.
+///
+/// The search is semi-naive: it enumerates only matches that bind at least
+/// one node stamped past \p Since (the epoch of the axiom's last complete
+/// enumeration) — the root by its nodeEpoch, every other atom by its
+/// memberEpoch (a root's class plays no part in its matches). A root that
+/// is not new is skipped outright when no class within its trigger's
+/// child heights changed either; and once the search reaches the
+/// trigger's last App atom (in binding order) with no new node bound, that
+/// atom scans only new members of its class. Since = 0 is a full scan.
 ///
 /// The backtracking search is continuation-passing, but the continuations
 /// are non-owning FunctionRefs into stack frames of the search itself —
@@ -32,19 +104,21 @@ namespace {
 class MatchEngine {
 public:
   /// OnMatch returns false to stop the enumeration (budget caps).
-  MatchEngine(const EGraph &G, const Axiom &A,
+  MatchEngine(const EGraph &G, const Axiom &A, uint32_t Since,
               FunctionRef<bool(const std::vector<ClassId> &)> OnMatch)
-      : G(G), A(A), OnMatch(OnMatch), Bindings(A.VarNames.size(), 0),
-        Bound(A.VarNames.size(), 0) {}
+      : G(G), A(A), Since(Since), OnMatch(OnMatch),
+        Bindings(A.VarNames.size(), 0), Bound(A.VarNames.size(), 0) {}
 
   /// Matches \p Trigger against the root nodes in [Begin, End) — a slice
   /// of G.nodesWithOp(trigger op). Slices partition the root list in
   /// order, so concatenating slice outputs in slice order reproduces the
-  /// full sequential enumeration order exactly.
-  void run(PatternId Trigger, const ENodeId *Begin, const ENodeId *End) {
+  /// full sequential enumeration order exactly. \returns the number of
+  /// roots skipped by the semi-naive filter.
+  uint64_t run(PatternId Trigger, const TriggerShape &Shape,
+               const ENodeId *Begin, const ENodeId *End) {
     const PatternNode &Root = A.pattern(Trigger);
     assert(Root.TheKind == PatternNode::Kind::App && "trigger must be App");
-    (void)Root;
+    NumApps = Shape.NumApps;
     // The engine only reads the graph and the match callback only collects
     // (instantiation happens after every work item has run), so the op
     // index is stable here — no defensive copy. Retired nodes in the
@@ -53,20 +127,39 @@ public:
       if (!OnMatch(Bindings))
         Stopped = true;
     };
+    uint64_t Pruned = 0;
     for (const ENodeId *I = Begin; I != End && !Stopped; ++I) {
-      if (!G.node(*I).Alive)
+      const ENode &N = G.node(*I);
+      if (!N.Alive)
         continue;
+      const bool New = G.nodeEpoch(*I) > Since;
+      if (!New && Shape.Prunable &&
+          std::none_of(Shape.Reach.begin(), Shape.Reach.end(),
+                       [&](const auto &R) {
+                         return G.classChangedWithin(N.Children[R.first],
+                                                     R.second) > Since;
+                       })) {
+        ++Pruned;
+        continue;
+      }
+      BoundApps = 1;
+      BoundNew = New;
       matchChildren(Root, *I, 0, Report);
     }
+    return Pruned;
   }
 
 private:
   const EGraph &G;
   const Axiom &A;
+  const uint32_t Since;
   FunctionRef<bool(const std::vector<ClassId> &)> OnMatch;
   std::vector<ClassId> Bindings;
   std::vector<uint8_t> Bound;
   bool Stopped = false;
+  unsigned NumApps = 0;   ///< App atoms in the trigger.
+  unsigned BoundApps = 0; ///< App atoms bound on the current search path.
+  unsigned BoundNew = 0;  ///< Of those, nodes past Since.
 
   using Cont = FunctionRef<void()>;
 
@@ -109,10 +202,22 @@ private:
     }
     case PatternNode::Kind::App: {
       // E-matching proper: search the whole equivalence class for nodes
-      // with the right operator (Figure 2's 2**2 inside 4's class).
+      // with the right operator (Figure 2's 2**2 inside 4's class). Atoms
+      // bind in pattern pre-order, so every other App atom is bound when
+      // the last one is reached: with nothing new bound by then, only a
+      // new node here can make the match new.
+      const bool OnlyNew = BoundApps + 1 == NumApps && BoundNew == 0;
       G.forEachClassNode(C, [&](ENodeId N) {
-        if (!Stopped && G.node(N).Op == P.Op)
-          matchChildren(P, N, 0, K);
+        if (Stopped || G.node(N).Op != P.Op)
+          return;
+        const bool New = G.memberEpoch(N) > Since;
+        if (OnlyNew && !New)
+          return;
+        ++BoundApps;
+        BoundNew += New;
+        matchChildren(P, N, 0, K);
+        --BoundApps;
+        BoundNew -= New;
       });
       return;
     }
@@ -137,12 +242,14 @@ private:
 struct WorkItem {
   uint32_t AxiomIdx = 0;
   PatternId Trigger = 0;
+  const TriggerShape *Shape = nullptr;
   size_t Begin = 0, End = 0;  ///< Root slice in nodesWithOp(trigger op).
   uint64_t RawCap = 0;        ///< Stop enumerating at this many raw matches.
   size_t StoreCap = 0;        ///< Stop after this many stored survivors.
   uint64_t Raw = 0;           ///< Matches enumerated (pre-dedup).
   uint64_t Deduped = 0;       ///< Filtered against Done or Seen.
   uint64_t SeenHits = 0;      ///< Of Deduped, hits on the persistent set.
+  uint64_t Pruned = 0;        ///< Roots skipped by the semi-naive filter.
   std::vector<std::pair<uint64_t, std::vector<ClassId>>>
       Matches;                ///< (raw index, canonical bindings) survivors.
   bool Capped = false;        ///< Enumeration stopped at a cap.
@@ -153,24 +260,6 @@ struct WorkItem {
 /// thread count — so the work-item list (and with it every per-item cap
 /// decision) is the same for any --match-threads value.
 constexpr size_t RootChunk = 1024;
-
-/// Operator-application count of a pattern, by explicit stack (axiom
-/// sides can be arbitrarily deep; nothing in the matcher may recurse on
-/// pattern or graph depth).
-size_t patternAppCount(const Axiom &A, PatternId Root) {
-  size_t Count = 0;
-  std::vector<PatternId> Stack{Root};
-  while (!Stack.empty()) {
-    PatternId P = Stack.back();
-    Stack.pop_back();
-    const PatternNode &N = A.pattern(P);
-    if (N.TheKind != PatternNode::Kind::App)
-      continue;
-    ++Count;
-    Stack.insert(Stack.end(), N.Children.begin(), N.Children.end());
-  }
-  return Count;
-}
 
 /// The next power of two >= \p V (for adaptive budget seeding: budgets
 /// stay on the same doubling ladder the blind backoff walks).
@@ -292,6 +381,11 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
 
   // Per-axiom scheduling state for this run.
   const size_t NumAxioms = Axioms.size();
+  // Trigger shapes, flat: axiom I's triggers start at ShapeBase[I].
+  std::vector<size_t> ShapeBase(NumAxioms + 1, 0);
+  for (size_t I = 0; I < NumAxioms; ++I)
+    ShapeBase[I + 1] = ShapeBase[I] + Axioms[I].Triggers.size();
+  std::vector<std::optional<TriggerShape>> Shapes(ShapeBase[NumAxioms]);
   std::vector<uint64_t> BudgetNow(NumAxioms, Limits.MatchBudget);
   std::vector<uint8_t> SitOut(NumAxioms, 0);
   std::vector<unsigned> Phase(NumAxioms, 0);
@@ -383,6 +477,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     uint64_t RoundAsserted = Stats.InstancesAsserted;
     uint64_t RoundOverflows = Stats.BudgetOverflows;
     uint64_t RoundSkips = Stats.BudgetSkips;
+    uint64_t RoundPruned = Stats.RootsPruned;
     uint64_t RoundRebuilds = G.rebuildStats().Rebuilds;
     uint64_t RoundMerges = G.rebuildStats().Merges;
     uint64_t RoundStart = G.version();
@@ -395,6 +490,9 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     G.rebuild();
     if (G.isInconsistent())
       break;
+    // Everything changed from here on is new to this round's complete
+    // enumerations.
+    const uint32_t Epoch = G.beginMatchPhase();
 
     // Which axioms match this round, and at what budget.
     std::vector<uint8_t> Active(NumAxioms, 1);
@@ -429,12 +527,17 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       const Axiom &A = Axioms[AIdx];
       if (Active[AIdx] && !A.VarNames.empty()) {
         uint64_t RawCap = BudgetNow[AIdx] ? BudgetNow[AIdx] + 1 : UINT64_MAX;
-        for (PatternId Trigger : A.Triggers) {
+        for (size_t T = 0; T < A.Triggers.size(); ++T) {
+          PatternId Trigger = A.Triggers[T];
           size_t NumRoots = G.nodesWithOp(A.pattern(Trigger).Op).size();
+          std::optional<TriggerShape> &Shape = Shapes[ShapeBase[AIdx] + T];
+          if (NumRoots && !Shape)
+            Shape.emplace(A, Trigger);
           for (size_t B = 0; B < NumRoots; B += RootChunk) {
             WorkItem It;
             It.AxiomIdx = AIdx;
             It.Trigger = Trigger;
+            It.Shape = &*Shape;
             It.Begin = B;
             It.End = std::min(B + RootChunk, NumRoots);
             It.RawCap = RawCap;
@@ -478,9 +581,9 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
         }
         return true;
       };
-      MatchEngine Engine(G, A, OnMatch);
-      Engine.run(It.Trigger, Roots.data() + It.Begin,
-                 Roots.data() + It.End);
+      MatchEngine Engine(G, A, MatchedThrough[It.AxiomIdx], OnMatch);
+      It.Pruned = Engine.run(It.Trigger, *It.Shape, Roots.data() + It.Begin,
+                             Roots.data() + It.End);
       It.Raw = Raw;
       It.Deduped = Deduped;
       It.SeenHits = SeenHits;
@@ -528,6 +631,9 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       std::vector<ClassId> Bindings;
     };
     std::vector<PendingInstance> Pending;
+    // Axioms whose enumeration this round was complete; only those may
+    // advance their epoch (a truncated one must re-find what it dropped).
+    std::vector<uint8_t> Complete(NumAxioms, 0);
     uint64_t TopRaw = 0; // This round's busiest axiom, for the round span.
     uint32_t TopAIdx = 0;
     for (uint32_t AIdx = 0; AIdx < NumAxioms; ++AIdx) {
@@ -548,6 +654,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
         Raw += Items[I].Raw;
         Stats.InstancesDeduped += Items[I].Deduped;
         Stats.SeenHits += Items[I].SeenHits;
+        Stats.RootsPruned += Items[I].Pruned;
         Truncated |= Items[I].Capped;
         if (ProfileOn)
           Stats.PerAxiom[AIdx].MatchNs += Items[I].Ns;
@@ -592,6 +699,8 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       }
       if (Truncated)
         SchedHeldBack = true;
+      else
+        Complete[AIdx] = 1;
       if (Budget && Truncated) {
         // Backoff: overflowed its budget — sit out next round, return
         // with double.
@@ -653,8 +762,13 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       FlushGroup(obs::nowNs());
     // Instances cut off by the node cap were marked seen when queued;
     // un-mark them so a later saturate() of this matcher can retry them.
-    for (size_t I = Instantiated; I < Pending.size(); ++I)
+    for (size_t I = Instantiated; I < Pending.size(); ++I) {
       Seen.erase(DoneKey{Pending[I].AxiomIdx, Pending[I].Bindings});
+      Complete[Pending[I].AxiomIdx] = 0;
+    }
+    for (size_t I = 0; I < NumAxioms; ++I)
+      if (Complete[I])
+        MatchedThrough[I] = Epoch;
 
     // The batched per-round rebuild: close congruence over everything the
     // instances merged (one repair pass instead of one per assert).
@@ -676,6 +790,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
           .arg("rebuilds", G.rebuildStats().Rebuilds - RoundRebuilds)
           .arg("sched_overflows", Stats.BudgetOverflows - RoundOverflows)
           .arg("sched_skips", Stats.BudgetSkips - RoundSkips)
+          .arg("roots_pruned", Stats.RootsPruned - RoundPruned)
           .arg("enodes", static_cast<uint64_t>(G.numNodes()))
           .arg("eclasses", static_cast<uint64_t>(G.numClasses()));
       if (TopRaw)
@@ -730,6 +845,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     R.counter("match.sched.budget_skips").add(Stats.BudgetSkips);
     R.counter("match.sched.seen_hits").add(Stats.SeenHits);
     R.counter("match.sched.seen_evictions").add(Stats.SeenEvictions);
+    R.counter("match.sched.roots_pruned").add(Stats.RootsPruned);
     R.counter("match.sched.phase_advances").add(Stats.PhaseAdvances);
     R.counter("match.sched.merges").add(Stats.Merges);
     R.counter("match.sched.congruence_merges").add(Stats.CongruenceMerges);

@@ -12,6 +12,13 @@
 /// Figure 2 scenario.
 ///
 /// Scaling machinery (Caviar-style saturation scheduling):
+///   * **Semi-naive matching** — each axiom remembers the graph's change
+///     epoch at its last *complete* enumeration (egraph::EGraph::
+///     beginMatchPhase), and a round enumerates only matches that bind at
+///     least one node stamped since then: quiescent regions of the graph
+///     are not rescanned. An axiom truncated by its budget, the per-round
+///     instance cap, or the node cap keeps its old epoch, so whatever it
+///     dropped is found again.
 ///   * **Deferred rebuilding** — saturate() switches the graph into
 ///     egraph::RebuildMode::Deferred and batches congruence repair into one
 ///     rebuild() per round instead of one per asserted instance.
@@ -26,6 +33,16 @@
 ///     the graph is path-compressed first so every read is frozen, and
 ///     results merge in deterministic item order. Instantiation stays
 ///     single-threaded.
+///
+/// The Done and Seen sets below filter every enumerated match by its
+/// canonical substitution. Under semi-naive matching they are a safety
+/// net: a match that binds only old nodes was already enumerated, so they
+/// only catch the same substitution re-found through new nodes (another
+/// trigger, a merged class) — and they keep instantiation exactly-once
+/// whatever the enumeration finds.
+///
+/// A Matcher carries per-graph state (Done, Seen, the per-axiom epochs):
+/// saturate one graph with it, any number of times.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,6 +117,7 @@ struct MatchStats {
   uint64_t BudgetSkips = 0;     ///< Axiom-rounds sat out by backoff.
   uint64_t SeenHits = 0;        ///< Persistent pending-instance dedup hits.
   uint64_t SeenEvictions = 0;   ///< Seen-set entries dropped by cap flushes.
+  uint64_t RootsPruned = 0; ///< Trigger roots skipped by semi-naive matching.
   uint64_t PhaseAdvances = 0;   ///< Times the active phase widened.
   // Graph-side work, as deltas of egraph::RebuildStats over the run.
   uint64_t Merges = 0;
@@ -129,7 +147,7 @@ using Elaborator = std::function<void(egraph::EGraph &)>;
 class Matcher {
 public:
   explicit Matcher(std::vector<Axiom> Axioms)
-      : Axioms(std::move(Axioms)) {}
+      : Axioms(std::move(Axioms)), MatchedThrough(this->Axioms.size(), 0) {}
 
   /// Adds an elaboration hook.
   void addElaborator(Elaborator E) { Elaborators.push_back(std::move(E)); }
@@ -156,6 +174,9 @@ public:
 private:
   std::vector<Axiom> Axioms;
   std::vector<Elaborator> Elaborators;
+  /// Per axiom: the graph's change epoch at its last complete enumeration
+  /// (0 = never; the next enumeration is a full scan).
+  std::vector<uint32_t> MatchedThrough;
 
   // Instantiation dedup: (axiom index, canonical bindings) already asserted.
   struct DoneKey {

@@ -265,6 +265,15 @@ ServerResponse CompileServer::compileGmaTiered(const gma::GMA &G,
   return Out;
 }
 
+ServerResponse CompileServer::parseFailure(const std::string &Err) {
+  Requests.fetch_add(1, std::memory_order_relaxed);
+  ParseErrors.fetch_add(1, std::memory_order_relaxed);
+  obs::Registry::global().counter("server.parse_errors").add();
+  ServerResponse R;
+  R.Result.Error = "parse: " + Err;
+  return R;
+}
+
 ServerResponse CompileServer::compileText(const std::string &Text) {
   gma::GMA G;
   {
@@ -272,14 +281,8 @@ ServerResponse CompileServer::compileText(const std::string &Text) {
     std::string Err;
     std::optional<gma::GMA> Parsed =
         verify::parseGma(Opt.context(), Text, &Err);
-    if (!Parsed) {
-      Requests.fetch_add(1, std::memory_order_relaxed);
-      ParseErrors.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("server.parse_errors").add();
-      ServerResponse R;
-      R.Result.Error = "parse: " + Err;
-      return R;
-    }
+    if (!Parsed)
+      return parseFailure(Err);
     G = std::move(*Parsed);
   }
   return compileGma(G);
@@ -345,12 +348,8 @@ CompileServer::compileBulk(const std::vector<std::string> &Texts) {
   for (std::future<void> &F : Futures)
     F.get();
   for (size_t I = 0; I < Reqs.size(); ++I)
-    if (!Reqs[I].Ok) {
-      Requests.fetch_add(1, std::memory_order_relaxed);
-      ParseErrors.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("server.parse_errors").add();
-      Responses[I].Result.Error = "parse: " + Reqs[I].Err;
-    }
+    if (!Reqs[I].Ok)
+      Responses[I] = parseFailure(Reqs[I].Err);
   return Responses;
 }
 
@@ -454,6 +453,15 @@ int CompileServer::serve(std::istream &In, std::ostream &Out) {
     Flush(false);
   }
   Flush(true);
+  if (!Buf.empty()) {
+    // EOF inside a form: every request gets an answer, even a truncated
+    // one.
+    ++Failures;
+    Out << formatResponse(parseFailure("unterminated form at end of input"),
+                          false)
+        << "\n"
+        << std::flush;
+  }
   return Failures;
 }
 

@@ -138,7 +138,8 @@ public:
   /// Reads s-expr requests from \p In until EOF or (quit), writing one
   /// response line per request to \p Out in request order. Requests are
   /// dispatched to the pool as they parse, so up to Threads compiles
-  /// overlap. \returns the number of failed requests.
+  /// overlap. A form still open at EOF is answered with a parse error.
+  /// \returns the number of failed requests.
   int serve(std::istream &In, std::ostream &Out);
 
   ServerStats stats() const;
@@ -165,6 +166,8 @@ private:
 
   ServerResponse serveCached(const CachedResult &Hit, const gma::GMA &G,
                              const CanonicalGma &C, double Seconds);
+  /// Counts a request that never parsed and \returns its error response.
+  ServerResponse parseFailure(const std::string &Err);
   /// The tiered compile body, run under the request's RequestScope.
   ServerResponse compileGmaTiered(const gma::GMA &G, uint64_t Req);
   /// Records per-request telemetry (windowed latencies, slow-request log)

@@ -265,6 +265,57 @@ TEST_F(EGraphTest, VersionAdvancesOnChange) {
   EXPECT_EQ(G.version(), V2);
 }
 
+TEST_F(EGraphTest, ChangeEpochsStampEveryMatchRelevantChange) {
+  // Declared (non-builtin) operators, so no constant folding interferes.
+  ir::OpId F = Ctx.Ops.declareOp("f", 1);
+  ir::OpId Gop = Ctx.Ops.declareOp("g", 2);
+  auto only = [&](ClassId C) { return G.classNodes(C).front(); };
+  ClassId X = v("x");
+  G.assertEqual(X, v("y")); // {x, y} outweighs a singleton: it stays root.
+  ClassId FX = G.addNode(F, {X});
+  ClassId W = v("w"), Z = v("z");
+  ClassId GW = G.addNode(Gop, {FX, W});
+  ClassId FZ = G.addNode(F, {Z});
+  ENodeId WNode = only(W), ZNode = only(Z);
+  // A chain q <- t1 <- ... <- t4, one level per link.
+  ClassId Q = v("q");
+  std::vector<ClassId> T{Q};
+  for (int I = 0; I < 4; ++I)
+    T.push_back(G.addNode(F, {T.back()}));
+
+  const uint32_t E = G.beginMatchPhase();
+  for (ClassId C : {FX, GW, FZ, W, Z, Q, T[4]})
+    EXPECT_LE(G.memberEpoch(only(C)), E);
+
+  // A constant arriving at a surviving root stamps its parents: a Const
+  // pattern position under f(x) may match now.
+  G.assertEqual(X, c(7));
+  EXPECT_GT(G.nodeEpoch(only(FX)), E);
+  // Equal sizes: w's class absorbs z's. The absorbed member's membership
+  // and z's re-canonicalized parent are stamped; the root's own member and
+  // parent are not.
+  G.assertEqual(W, Z);
+  EXPECT_GT(G.memberEpoch(ZNode), E);
+  EXPECT_LE(G.nodeEpoch(ZNode), E); // As a match root, z is unchanged.
+  EXPECT_GT(G.nodeEpoch(only(FZ)), E);
+  EXPECT_LE(G.memberEpoch(WNode), E);
+  EXPECT_LE(G.memberEpoch(only(GW)), E);
+  // Creation stamps.
+  ClassId Q2 = v("q2");
+  EXPECT_GT(G.nodeEpoch(only(Q2)), E);
+  G.assertEqual(Q, Q2);
+
+  const uint32_t E2 = G.beginMatchPhase();
+  EXPECT_GT(E2, E);
+  EXPECT_LE(G.classChangedWithin(GW, 0), E);
+  EXPECT_EQ(G.classChangedWithin(GW, 1), E2); // f(x) and z, one level down.
+  // The summary climbs ChangeLevels - 1 levels above the change, no more.
+  EXPECT_EQ(G.classChangedWithin(Q, 0), E2);
+  EXPECT_LE(G.classChangedWithin(T[3], 2), E);
+  EXPECT_EQ(G.classChangedWithin(T[3], 3), E2);
+  EXPECT_LE(G.classChangedWithin(T[4], 3), E);
+}
+
 TEST_F(EGraphTest, AddTermSharesStructure) {
   ir::TermId T = Ctx.Terms.makeBuiltin(
       Builtin::Add64, {Ctx.Terms.makeBuiltin(

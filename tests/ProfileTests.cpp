@@ -290,7 +290,7 @@ TEST(AdaptiveSchedule, WarmLedgerReachesBlindClosureWithFewerMatches) {
 
   // Blind: tight budget, backoff has to discover every axiom's appetite.
   match::MatchLimits Blind;
-  Blind.MatchBudget = 2;
+  Blind.MatchBudget = 1;
   Blind.MaxRounds = 200;
   std::vector<unsigned> BlindPart;
   obs::ProfileLedger Ledger;

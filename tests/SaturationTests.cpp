@@ -16,7 +16,12 @@
 //    closure; the persistent seen-set dedups re-found substitutions and
 //    evicts under its cap without changing the closure;
 //  * rebuild's congruence cascade is worklist-driven, so pathologically
-//    deep parent chains cannot overflow the stack in either mode.
+//    deep parent chains cannot overflow the stack in either mode;
+//  * semi-naive matching misses nothing: a fresh Matcher's first round is
+//    a full scan, and over a graph the semi-naive matcher saturated to
+//    quiescence it must not change the graph. The paper's programs also
+//    pin their closures (sizes, instance counts, extraction costs) to the
+//    values the full-rescan matcher produced.
 //
 // Equivalence runs are rounds-bounded with non-binding node/instance caps:
 // a binding cap stops the modes at different frontiers (the deferred arm's
@@ -41,6 +46,11 @@
 #ifndef DENALI_SATURATION_NO_EXTRACT
 #include "alpha/ISA.h"
 #include "baseline/EGraphExtract.h"
+#include "driver/Superoptimizer.h"
+#include "support/StringExtras.h"
+
+#include <fstream>
+#include <sstream>
 #endif
 
 #include <gtest/gtest.h>
@@ -118,8 +128,27 @@ struct SatRun {
 #endif
 };
 
+/// Runs a fresh Matcher — whose first round is a full scan — over \p G,
+/// which a semi-naive run saturated to quiescence: if that run missed a
+/// match, the full scan finds it and the graph changes.
+void expectFullScanIsFixpoint(egraph::EGraph &G,
+                              const std::vector<match::Axiom> &Axioms,
+                              const match::MatchLimits &Limits) {
+  const uint64_t Before = G.version();
+  match::Matcher Fresh(Axioms);
+  for (match::Elaborator &E : match::standardElaborators())
+    Fresh.addElaborator(std::move(E));
+  match::MatchStats S = Fresh.saturate(G, Limits);
+  EXPECT_EQ(G.version(), Before);
+  EXPECT_EQ(S.InstancesAsserted, 0u);
+  EXPECT_EQ(S.RootsPruned, 0u); // Nothing is old to a fresh matcher.
+  EXPECT_GT(S.MatchesFound, 0u);
+  EXPECT_TRUE(S.Quiesced);
+}
+
 SatRun runSat(ir::Context &Ctx, const std::vector<ir::TermId> &Seeds,
-              const match::MatchLimits &Limits) {
+              const match::MatchLimits &Limits,
+              bool CheckFixpoint = false) {
   egraph::EGraph G(Ctx);
   std::vector<ClassId> Roots;
   Roots.reserve(Seeds.size());
@@ -132,6 +161,11 @@ SatRun runSat(ir::Context &Ctx, const std::vector<ir::TermId> &Seeds,
   SatRun R;
   R.Stats = M.saturate(G, Limits);
   R.Inconsistent = G.isInconsistent();
+  if (CheckFixpoint) {
+    EXPECT_TRUE(R.Stats.Quiesced);
+    if (R.Stats.Quiesced)
+      expectFullScanIsFixpoint(G, M.axioms(), Limits);
+  }
   R.Partition.assign(Roots.size(), 0);
   for (size_t I = 0; I < Roots.size(); ++I) {
     R.Partition[I] = static_cast<unsigned>(I);
@@ -170,6 +204,7 @@ void expectStatsIdentical(const match::MatchStats &A,
   EXPECT_EQ(A.BudgetSkips, B.BudgetSkips);
   EXPECT_EQ(A.SeenHits, B.SeenHits);
   EXPECT_EQ(A.SeenEvictions, B.SeenEvictions);
+  EXPECT_EQ(A.RootsPruned, B.RootsPruned);
   EXPECT_EQ(A.PhaseAdvances, B.PhaseAdvances);
   EXPECT_EQ(A.Merges, B.Merges);
   EXPECT_EQ(A.CongruenceMerges, B.CongruenceMerges);
@@ -277,11 +312,11 @@ TEST(SaturationSchedule, BudgetBackoffReachesUnbudgetedClosure) {
   EXPECT_EQ(Plain.Stats.BudgetOverflows, 0u);
   EXPECT_EQ(Plain.Stats.BudgetSkips, 0u);
 
-  // A budget of 2 raw matches per axiom-round truncates immediately;
+  // A budget of 1 raw match per axiom-round truncates immediately;
   // backoff doubles it until every axiom fits, after which the run must
   // still quiesce — to the same closure, just over more rounds.
   match::MatchLimits Budgeted;
-  Budgeted.MatchBudget = 2;
+  Budgeted.MatchBudget = 1;
   Budgeted.MaxRounds = 200;
   SatRun B = runSat(Ctx, Seeds, Budgeted);
   EXPECT_TRUE(B.Stats.Quiesced);
@@ -294,6 +329,51 @@ TEST(SaturationSchedule, BudgetBackoffReachesUnbudgetedClosure) {
 #ifndef DENALI_SATURATION_NO_EXTRACT
   EXPECT_EQ(B.ExtractCosts, Plain.ExtractCosts);
 #endif
+}
+
+TEST(SaturationSchedule, TruncatedAxiomRefindsDroppedMatches) {
+  // Budget 1 lets round 1 assert only f(a) = g(a). The dropped f(b) match
+  // binds nodes that never change again, so semi-naive matching finds it
+  // later only because a truncated axiom's epoch stays behind.
+  ir::Context Ctx;
+  ir::OpId F = Ctx.Ops.declareOp("f", 1);
+  ir::OpId Gop = Ctx.Ops.declareOp("g", 1);
+  sexpr::ParseResult P = sexpr::parseOne(
+      R"((\axiom (forall (x) (pats (f x)) (eq (f x) (g x)))))");
+  ASSERT_TRUE(P.ok());
+  std::string Err;
+  std::optional<match::Axiom> A = match::parseAxiom(Ctx, P.Forms[0], &Err);
+  ASSERT_TRUE(A.has_value()) << Err;
+
+  egraph::EGraph G(Ctx);
+  ClassId B = G.addNode(Ctx.Ops.makeVariable("b"), {});
+  G.addNode(F, {G.addNode(Ctx.Ops.makeVariable("a"), {})});
+  ClassId FB = G.addNode(F, {B});
+  match::Matcher M({*A});
+  match::MatchLimits Budgeted;
+  Budgeted.MatchBudget = 1;
+  match::MatchStats S = M.saturate(G, Budgeted);
+  EXPECT_GT(S.BudgetOverflows, 0u);
+  EXPECT_TRUE(S.Quiesced);
+  EXPECT_EQ(S.InstancesAsserted, 2u);
+  EXPECT_TRUE(G.sameClass(FB, G.addNode(Gop, {B})));
+
+  // The node cap cuts instantiation short the same way: the instances it
+  // cut off come back in a later saturate() of this matcher.
+  ClassId C = G.addNode(Ctx.Ops.makeVariable("c"), {});
+  ClassId D = G.addNode(Ctx.Ops.makeVariable("d"), {});
+  ClassId FC = G.addNode(F, {C});
+  ClassId FD = G.addNode(F, {D});
+  match::MatchLimits Capped;
+  Capped.MaxNodes = G.numNodes() + 1; // Room for one g node.
+  S = M.saturate(G, Capped);
+  EXPECT_EQ(S.InstancesAsserted, 1u);
+  EXPECT_FALSE(S.Quiesced);
+  S = M.saturate(G, match::MatchLimits());
+  EXPECT_EQ(S.InstancesAsserted, 1u);
+  EXPECT_TRUE(S.Quiesced);
+  EXPECT_TRUE(G.sameClass(FC, G.addNode(Gop, {C})));
+  EXPECT_TRUE(G.sameClass(FD, G.addNode(Gop, {D})));
 }
 
 TEST(SaturationSchedule, PhasedReachesUnphasedClosure) {
@@ -377,6 +457,141 @@ TEST(SaturationSchedule, SeenCapFlushCountsEvictionsKeepsClosure) {
   EXPECT_EQ(T.Stats.FinalClasses, Ample.Stats.FinalClasses);
   EXPECT_EQ(T.Stats.MatchesFound, Ample.Stats.MatchesFound);
 }
+
+//===----------------------------------------------------------------------===
+// Semi-naive matching: nothing missed.
+//===----------------------------------------------------------------------===
+
+class SemiNaiveFixpoint : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SemiNaiveFixpoint, FullScanOfQuiescentGraphChangesNothing) {
+  ir::Context Ctx;
+  std::vector<ir::TermId> Seeds = stressSeeds(Ctx, GetParam());
+  SatRun R = runSat(Ctx, Seeds, match::MatchLimits(), /*CheckFixpoint=*/true);
+  ASSERT_FALSE(R.Inconsistent);
+  // Later rounds really were semi-naive, or this test proves nothing.
+  EXPECT_GT(R.Stats.RootsPruned, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SemiNaiveFixpoint, ::testing::Range(0u, 6u));
+
+TEST(SemiNaive, RootSeesChangeTwoLevelsDown) {
+  // f(g(y)) matches (f (g (h x))) only once h(a) joins y's class. The
+  // merge stamps h(a) alone — two levels below the root, whose own node
+  // and child stay unstamped — so only the per-class change summary
+  // keeps the root from being pruned.
+  ir::Context Ctx;
+  ir::OpId F = Ctx.Ops.declareOp("f", 1);
+  ir::OpId Gop = Ctx.Ops.declareOp("g", 1);
+  ir::OpId H = Ctx.Ops.declareOp("h", 1);
+  ir::OpId K = Ctx.Ops.declareOp("k", 1);
+  sexpr::ParseResult P = sexpr::parseOne(
+      R"((\axiom (forall (x) (pats (f (g (h x)))) (eq (f (g (h x))) (k x)))))");
+  ASSERT_TRUE(P.ok());
+  std::string Err;
+  std::optional<match::Axiom> A = match::parseAxiom(Ctx, P.Forms[0], &Err);
+  ASSERT_TRUE(A.has_value()) << Err;
+
+  egraph::EGraph G(Ctx);
+  ClassId Y = G.addNode(Ctx.Ops.makeVariable("y"), {});
+  G.assertEqual(Y, G.addNode(Ctx.Ops.makeVariable("z"), {}));
+  ClassId FGY = G.addNode(F, {G.addNode(Gop, {Y})});
+  ClassId Av = G.addNode(Ctx.Ops.makeVariable("a"), {});
+  ClassId HA = G.addNode(H, {Av});
+  match::Matcher M({*A});
+  match::MatchStats S = M.saturate(G);
+  EXPECT_EQ(S.MatchesFound, 0u);
+
+  G.assertEqual(Y, HA); // {y, z} outweighs {h(a)}: h(a) is what moves.
+  S = M.saturate(G);
+  EXPECT_EQ(S.InstancesAsserted, 1u);
+  EXPECT_TRUE(G.sameClass(FGY, G.addNode(K, {Av})));
+}
+
+#ifndef DENALI_SATURATION_NO_EXTRACT
+
+/// Figure 3's byteswap for \p N bytes, in the syntax of
+/// examples/programs/byteswap4.dnl.
+std::string byteswapSource(unsigned N) {
+  std::string Src = strFormat("(\\procdecl byteswap%u ((a long)) long\n"
+                              "  (\\var (r long 0)\n  (\\semi\n",
+                              N);
+  for (unsigned I = 0; I < N; ++I)
+    Src += strFormat("    (:= (r (\\storeb r %u (\\selectb a %u))))\n", I,
+                     N - 1 - I);
+  return Src + "    (:= (\\res r)))))";
+}
+
+std::string programSource(const std::string &Name) {
+  if (Name == "byteswap5")
+    return byteswapSource(5);
+  std::ifstream In(std::string(DENALI_PROGRAMS_DIR) + "/" + Name + ".dnl");
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+/// One GMA's closure under the default pipeline options.
+struct ClosurePin {
+  const char *Gma;
+  size_t Nodes, Classes;
+  uint64_t Asserted;
+  std::vector<long long> Costs; ///< Best extraction cost per goal.
+};
+
+/// Captured from the full-rescan matcher that preceded semi-naive
+/// matching (same options, same axioms): the closure may not move.
+const std::vector<ClosurePin> &closurePins(const std::string &Program) {
+  static const std::vector<ClosurePin> Byteswap4 = {
+      {"byteswap4.0", 2209, 136, 2392, {9, 9}}};
+  static const std::vector<ClosurePin> Byteswap5 = {
+      {"byteswap5.0", 5110, 302, 6252, {12, 12}}};
+  static const std::vector<ClosurePin> Checksum = {
+      {"checksum.0", 16, 13, 3, {4, 4, 4, 3, 0, 0, 0, 0}},
+      {"checksum.1", 127, 50, 97, {4, 4, 4, 4, 4, 4, 1, 4, 4}},
+      {"checksum.2", 1463, 118, 1437, {54, 5, 53, 2, 1, 2, 1}}};
+  if (Program == "byteswap4")
+    return Byteswap4;
+  if (Program == "byteswap5")
+    return Byteswap5;
+  return Checksum;
+}
+
+class ProgramClosure : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(ProgramClosure, PinnedAndFullScanIsFixpoint) {
+  driver::Superoptimizer Opt;
+  driver::CompileResult R = Opt.compileSource(programSource(GetParam()));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  const std::vector<ClosurePin> &Pins = closurePins(GetParam());
+  ASSERT_EQ(R.Gmas.size(), Pins.size());
+  for (size_t I = 0; I < Pins.size(); ++I) {
+    const ClosurePin &Pin = Pins[I];
+    SCOPED_TRACE(Pin.Gma);
+    EXPECT_EQ(R.Gmas[I].Gma.Name, Pin.Gma);
+    driver::SaturatedGma S = Opt.saturateGMA(R.Gmas[I].Gma);
+    ASSERT_TRUE(S.ok()) << S.Error;
+    ASSERT_TRUE(S.Matching.Quiesced);
+    EXPECT_EQ(S.Matching.FinalNodes, Pin.Nodes);
+    EXPECT_EQ(S.Matching.FinalClasses, Pin.Classes);
+    EXPECT_EQ(S.Matching.InstancesAsserted, Pin.Asserted);
+    std::vector<long long> Costs;
+    for (const codegen::NamedGoal &Goal : S.Goals) {
+      std::optional<baseline::ExtractResult> Ex =
+          baseline::extractBestTerm(*S.Graph, Opt.isa(), Goal.Class);
+      Costs.push_back(Ex ? static_cast<long long>(Ex->Cost) : -1);
+    }
+    EXPECT_EQ(Costs, Pin.Costs);
+    egraph::EGraph G(*S.Graph);
+    expectFullScanIsFixpoint(G, Opt.axioms(), Opt.options().Matching);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, ProgramClosure,
+                         ::testing::Values("byteswap4", "byteswap5",
+                                           "checksum"));
+
+#endif // DENALI_SATURATION_NO_EXTRACT
 
 //===----------------------------------------------------------------------===
 // Worklist-driven rebuild: deep congruence cascades cannot recurse.

@@ -447,6 +447,26 @@ TEST(ServerTest, ServeAnswersInOrderAndHandlesVerbs) {
   EXPECT_NE(Lines[4].find(":source hit"), std::string::npos) << Lines[4];
 }
 
+TEST(ServerTest, ServeAnswersFormOpenAtEof) {
+  ServerOptions SO;
+  SO.Pipeline = smallOptions();
+  SO.Threads = 1;
+  CompileServer Server(SO);
+  std::istringstream In("(stats)\n(gma\n");
+  std::ostringstream Out;
+  EXPECT_EQ(Server.serve(In, Out), 1);
+
+  std::vector<std::string> Lines;
+  std::istringstream Split(Out.str());
+  for (std::string L; std::getline(Split, L);)
+    Lines.push_back(L);
+  ASSERT_EQ(Lines.size(), 2u) << Out.str();
+  EXPECT_EQ(Lines[0].compare(0, 7, "(stats "), 0) << Lines[0];
+  EXPECT_EQ(Lines[1].compare(0, 14, "(error \"parse:"), 0) << Lines[1];
+  EXPECT_EQ(Server.stats().ParseErrors, 1u);
+  EXPECT_EQ(Server.stats().Requests, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Telemetry (always-on tracing, live windows, stats-full, flusher)
 //===----------------------------------------------------------------------===//

@@ -38,9 +38,9 @@
 //     and the largest classes by member count. Given a plain-text metrics
 //     summary instead (`--metrics-out`, BENCH_*.metrics.txt), reports the
 //     saturation scheduling work from the match.* / match.sched.* counters
-//     — rounds, matches, merges, rebuild passes, budget backoff, seen-set
-//     dedup — with per-round averages, so a scheduling regression is
-//     diagnosable from a metrics file alone.
+//     — rounds, matches, semi-naive root pruning, merges, rebuild passes,
+//     budget backoff, seen-set dedup — with per-round averages, so a
+//     scheduling regression is diagnosable from a metrics file alone.
 //
 //   denali_explain rules <ledger.jsonl> [--top N]
 //   denali_explain rules <baseline.jsonl> <current.jsonl> [--tolerance PCT]
@@ -435,6 +435,7 @@ int egraphMetricsReport(const char *Path, const std::string &Text) {
   };
   std::printf("saturation scheduling (%llu round(s) total):\n", Rounds);
   Row("matches found", C("match.matches"));
+  Row("roots pruned", C("match.sched.roots_pruned"));
   Row("instances asserted", C("match.instances_asserted"));
   Row("instances deduped", C("match.instances_deduped"));
   Row("merges", C("match.sched.merges"));
