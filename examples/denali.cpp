@@ -223,12 +223,16 @@ int main(int argc, char **argv) {
     }
     if (Stats) {
       std::printf("; %s: match %.2fs (%u rounds, %zu nodes, %llu raw "
-                  "matches, %llu roots pruned); max live regs %u; budgets:",
+                  "matches, %llu roots pruned); max live regs %u; ",
                   G.Gma.Name.c_str(), G.MatchSeconds, G.Matching.Rounds,
                   G.Matching.FinalNodes,
                   (unsigned long long)G.Matching.MatchesFound,
                   (unsigned long long)G.Matching.RootsPruned,
                   alpha::maxLiveRegisters(G.Search.Program));
+      if (G.Search.CriticalPathBound == ~0u)
+        std::printf("critical path none; budgets:");
+      else
+        std::printf("critical path %u; budgets:", G.Search.CriticalPathBound);
       for (const codegen::Probe &P : G.Search.Probes)
         std::printf(" %s", codegen::describeProbe(P).c_str());
       if (G.Search.CancelledProbes)

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 using namespace denali;
 using namespace denali::codegen;
@@ -35,6 +36,32 @@ const char *denali::codegen::clauseFamilyName(ClauseFamily F) {
     return "monotone";
   }
   return "unknown";
+}
+
+void ClassRows::build(const EGraph &G, const Universe &U) {
+  const std::vector<ClassId> &Needed = U.neededClasses();
+  Row.clear();
+  Row.reserve(Needed.size() * 2);
+  NeededRow.resize(Needed.size());
+  for (size_t R = 0; R < Needed.size(); ++R)
+    NeededRow[R] =
+        Row.emplace(G.find(Needed[R]), static_cast<uint32_t>(R)).first->second;
+  const std::vector<MachineTerm> &Terms = U.terms();
+  ArgStart.resize(Terms.size() + 1);
+  ArgRow.clear();
+  for (size_t T = 0; T < Terms.size(); ++T) {
+    const MachineTerm &MT = Terms[T];
+    ArgStart[T] = static_cast<uint32_t>(ArgRow.size());
+    for (size_t ArgIdx = 0; ArgIdx < MT.Args.size(); ++ArgIdx) {
+      ClassId A = MT.Args[ArgIdx];
+      bool NoClause =
+          U.isFree(A) ||
+          (!MT.IsLdiq &&
+           U.isImmOperand(G, *MT.Desc, ArgIdx, MT.Args.size(), A));
+      ArgRow.push_back(NoClause ? NoRow : rowOf(G, A));
+    }
+  }
+  ArgStart[Terms.size()] = static_cast<uint32_t>(ArgRow.size());
 }
 
 EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
@@ -75,26 +102,23 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
       for (unsigned I = 0; I < K; ++I)
         LDense[lIndex(T, Un, I)] = S.newVar();
   BDense.assign(Needed.size() * NC * K, -1);
-  BClassRow.clear();
-  BClassRow.reserve(Needed.size() * 2);
-  for (size_t R = 0; R < Needed.size(); ++R) {
-    if (!BClassRow.emplace(G.find(Needed[R]), static_cast<uint32_t>(R))
-             .second)
+  Rows.build(G, U);
+  for (uint32_t R = 0; R < Needed.size(); ++R) {
+    if (Rows.NeededRow[R] != R)
       continue; // Duplicate canonical class; first row wins.
     for (unsigned C = 0; C < NC; ++C)
       for (unsigned I = 0; I < K; ++I)
-        BDense[bIndex(static_cast<uint32_t>(R), C, I)] = S.newVar();
+        BDense[bIndex(R, C, I)] = S.newVar();
   }
+  auto rowOf = [&](ClassId Q) { return Rows.rowOf(G, Q); };
 
   auto LVar = [&](size_t T, machine::UnitId Un, unsigned I) {
     sat::Var V = LDense[lIndex(T, Un, I)];
     assert(V >= 0 && "missing L variable");
     return Lit::pos(V);
   };
-  auto BVar = [&](ClassId Q, unsigned C, unsigned I) {
-    auto It = BClassRow.find(G.find(Q));
-    assert(It != BClassRow.end() && "missing B class");
-    sat::Var V = BDense[bIndex(It->second, C, I)];
+  auto BVar = [&](uint32_t Row, unsigned C, unsigned I) {
+    sat::Var V = BDense[bIndex(Row, C, I)];
     assert(V >= 0 && "missing B variable");
     return Lit::pos(V);
   };
@@ -109,18 +133,23 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
   };
 
   // --- Condition 3 (+1): B(q,c,i) holds iff some member completed by i. ---
-  for (ClassId Q : U.neededClasses()) {
+  sat::ClauseLits Clause; // Scratch for the multi-literal clauses below.
+  for (size_t R = 0; R < Needed.size(); ++R) {
+    const ClassId Q = Needed[R];
+    const ClassId CanonQ = G.find(Q);
+    const uint32_t Row = Rows.NeededRow[R];
+    const std::vector<size_t> &Producers = U.producersOf(Q);
     for (unsigned C = 0; C < NC; ++C) {
       for (unsigned I = 0; I < K; ++I) {
-        tag(makeClauseTag(ClauseFamily::Definition, I, ~0u, G.find(Q)));
-        Lit B = BVar(Q, C, I);
-        sat::ClauseLits Definition{~B};
+        tag(makeClauseTag(ClauseFamily::Definition, I, ~0u, CanonQ));
+        Lit B = BVar(Row, C, I);
+        Clause.assign(1, ~B);
         if (I > 0) {
-          Lit Prev = BVar(Q, C, I - 1);
-          Definition.push_back(Prev);
+          Lit Prev = BVar(Row, C, I - 1);
+          Clause.push_back(Prev);
           S.addClause(~Prev, B); // Monotonic.
         }
-        for (size_t T : U.producersOf(Q)) {
+        for (size_t T : Producers) {
           const MachineTerm &MT = Terms[T];
           for (machine::UnitId Un : MT.Units) {
             // Launch at J completes (on cluster C) at the end of cycle
@@ -130,11 +159,11 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
             if (J < 0 || J >= static_cast<int>(K))
               continue;
             Lit L = LVar(T, Un, static_cast<unsigned>(J));
-            Definition.push_back(L);
+            Clause.push_back(L);
             S.addClause(~L, B);
           }
         }
-        S.addClause(Definition);
+        S.addClause(Clause);
       }
     }
   }
@@ -143,12 +172,9 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
   // --- Condition 2: operands available before launch. ---------------------
   for (size_t T = 0; T < Terms.size(); ++T) {
     const MachineTerm &MT = Terms[T];
-    for (size_t ArgIdx = 0; ArgIdx < MT.Args.size(); ++ArgIdx) {
-      ClassId A = MT.Args[ArgIdx];
-      if (U.isFree(A))
-        continue;
-      if (!MT.IsLdiq &&
-          U.isImmOperand(G, *MT.Desc, ArgIdx, MT.Args.size(), A))
+    for (uint32_t A = Rows.ArgStart[T]; A < Rows.ArgStart[T + 1]; ++A) {
+      const uint32_t Row = Rows.ArgRow[A];
+      if (Row == ClassRows::NoRow)
         continue;
       for (machine::UnitId Un : MT.Units) {
         unsigned C = clusterOfUnit(Un, Opts);
@@ -159,7 +185,7 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
           if (I == 0)
             S.addClause(~L); // No cycle -1 to have computed the operand in.
           else
-            S.addClause(~L, BVar(A, C, I - 1));
+            S.addClause(~L, BVar(Row, C, I - 1));
         }
       }
     }
@@ -171,13 +197,13 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
   for (unsigned UIdx = 0; UIdx < NumUnits; ++UIdx) {
     for (unsigned I = 0; I < K; ++I) {
       tag(makeClauseTag(ClauseFamily::Exclusivity, I, UIdx));
-      sat::ClauseLits Group;
+      Clause.clear();
       for (size_t T = 0; T < Terms.size(); ++T) {
         sat::Var V = LDense[lIndex(T, UIdx, I)];
         if (V >= 0)
-          Group.push_back(Lit::pos(V));
+          Clause.push_back(Lit::pos(V));
       }
-      sat::addAtMostOne(S, Group, Opts.AmoStyle);
+      sat::addAtMostOne(S, Clause, Opts.AmoStyle);
     }
   }
   takeFamily(Stats.ExclusivityClauses);
@@ -193,9 +219,10 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
         continue;
       tag(makeClauseTag(ClauseFamily::Deadline, ~0u, ~0u,
                         static_cast<uint32_t>(GIdx)));
-      sat::ClauseLits Clause;
+      const uint32_t Row = rowOf(Q);
+      Clause.clear();
       for (unsigned C = 0; C < NC; ++C)
-        Clause.push_back(BVar(Q, C, K - 1));
+        Clause.push_back(BVar(Row, C, K - 1));
       S.addClause(Clause);
     }
   }
@@ -205,6 +232,7 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
   if (Opts.GuardClass) {
     ClassId Gd = G.find(*Opts.GuardClass);
     if (!U.isFree(Gd)) {
+      const uint32_t GuardRow = rowOf(Gd);
       for (size_t T = 0; T < Terms.size(); ++T) {
         const MachineTerm &MT = Terms[T];
         if (!MT.IsLoad && !MT.IsStore)
@@ -218,9 +246,9 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
               S.addClause(~L);
               continue;
             }
-            sat::ClauseLits Clause{~L};
+            Clause.assign(1, ~L);
             for (unsigned C = 0; C < NC; ++C)
-              Clause.push_back(BVar(Gd, C, I - 1));
+              Clause.push_back(BVar(GuardRow, C, I - 1));
             S.addClause(Clause);
           }
         }
@@ -238,11 +266,11 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
       continue;
     tag(makeClauseTag(ClauseFamily::Memory, ~0u, ~0u,
                       static_cast<uint32_t>(T)));
-    sat::ClauseLits All;
+    Clause.clear();
     for (machine::UnitId Un : MT.Units)
       for (unsigned I = 0; I < K; ++I)
-        All.push_back(LVar(T, Un, I));
-    sat::addAtMostOne(S, All, Opts.AmoStyle);
+        Clause.push_back(LVar(T, Un, I));
+    sat::addAtMostOne(S, Clause, Opts.AmoStyle);
   }
   // Anti-dependence: a load of memory state m may not launch after the
   // store that overwrites m (i.e., the store whose memory argument is m).
@@ -297,9 +325,10 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
         // The gated deadline is the budget-B form of the Deadline family.
         tag(makeClauseTag(ClauseFamily::Deadline, B - 1, ~0u,
                           static_cast<uint32_t>(GIdx)));
-        sat::ClauseLits Clause{Lit::pos(ExceedVars[B])};
+        const uint32_t Row = rowOf(Q);
+        Clause.assign(1, Lit::pos(ExceedVars[B]));
         for (unsigned C = 0; C < NC; ++C)
-          Clause.push_back(BVar(Q, C, B - 1));
+          Clause.push_back(BVar(Row, C, B - 1));
         S.addClause(Clause);
       }
     }
@@ -334,6 +363,82 @@ EncodingStats Encoder::encode(Solver &S, const std::vector<NamedGoal> &Goals,
     R.counter("encode.clauses.monotone").add(Stats.MonotoneClauses);
   }
   return Stats;
+}
+
+unsigned denali::codegen::criticalPathBound(const EGraph &G,
+                                            const machine::MachineModel &M,
+                                            const Universe &U,
+                                            const std::vector<NamedGoal> &Goals,
+                                            const EncoderOptions &Opts) {
+  constexpr int Never = std::numeric_limits<int>::max() / 2;
+  const unsigned NC = Opts.SingleCluster ? 1 : M.numClusters();
+  auto clusterOf = [&](machine::UnitId Un) {
+    return Opts.SingleCluster ? 0u : M.clusterOf(Un);
+  };
+  const std::vector<MachineTerm> &Terms = U.terms();
+  const std::vector<ClassId> &Needed = U.neededClasses();
+
+  ClassRows Rows;
+  Rows.build(G, U);
+  std::vector<uint32_t> TermRow(Terms.size());
+  for (size_t T = 0; T < Terms.size(); ++T)
+    TermRow[T] = Rows.rowOf(G, Terms[T].Class);
+  std::optional<uint32_t> GuardRow;
+  if (Opts.GuardClass && !U.isFree(G.find(*Opts.GuardClass)))
+    GuardRow = Rows.rowOf(G, *Opts.GuardClass);
+
+  // Ready[Row * NC + C]: the earliest cycle by whose end the class can be
+  // complete on cluster C. Times only decrease from Never, so sweeping to
+  // a fixpoint terminates; terms are swept in reverse universe order
+  // (operands are discovered after their users), which settles acyclic
+  // cones in one or two sweeps.
+  std::vector<int> Ready(Needed.size() * NC, Never);
+  auto earliest = [&](uint32_t R) {
+    int Best = Never;
+    for (unsigned C = 0; C < NC; ++C)
+      Best = std::min(Best, Ready[R * NC + C]);
+    return Best;
+  };
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t T = Terms.size(); T-- > 0;) {
+      const MachineTerm &MT = Terms[T];
+      for (machine::UnitId Un : MT.Units) {
+        const unsigned UC = clusterOf(Un);
+        int Launch = 0;
+        for (uint32_t I = Rows.ArgStart[T]; I < Rows.ArgStart[T + 1]; ++I)
+          if (Rows.ArgRow[I] != ClassRows::NoRow)
+            Launch = std::max(Launch, Ready[Rows.ArgRow[I] * NC + UC] + 1);
+        if (GuardRow && (MT.IsLoad || MT.IsStore))
+          Launch = std::max(Launch, earliest(*GuardRow) + 1);
+        if (Launch >= Never)
+          continue;
+        for (unsigned C = 0; C < NC; ++C) {
+          unsigned Delay = Opts.SingleCluster || MT.IsStore || UC == C
+                               ? 0
+                               : M.crossClusterDelay();
+          int Done = Launch + static_cast<int>(MT.Latency - 1 + Delay);
+          int &Slot = Ready[TermRow[T] * NC + C];
+          if (Done < Slot) {
+            Slot = Done;
+            Changed = true;
+          }
+        }
+      }
+    }
+  }
+
+  unsigned Bound = 0;
+  for (const NamedGoal &Goal : Goals) {
+    ClassId Q = G.find(Goal.Class);
+    if (U.isFree(Q))
+      continue;
+    int GoalReady = earliest(Rows.rowOf(G, Q));
+    if (GoalReady >= Never)
+      return std::numeric_limits<unsigned>::max();
+    Bound = std::max(Bound, static_cast<unsigned>(GoalReady) + 1);
+  }
+  return Bound;
 }
 
 sat::Lit Encoder::budgetAssumption(unsigned K) const {

@@ -32,6 +32,7 @@
 #include "sat/Encodings.h"
 #include "sat/Solver.h"
 
+#include <cassert>
 #include <optional>
 #include <unordered_map>
 
@@ -125,6 +126,56 @@ struct NamedGoal {
   bool IsMemory = false;
 };
 
+/// The B-variable row of every class the encoding reads, resolved once so
+/// the clause loops never hash. Shared by Encoder::encode and
+/// criticalPathBound, so both apply one rule for which operands get an
+/// Operand clause.
+struct ClassRows {
+  static constexpr uint32_t NoRow = ~0u;
+  /// Canonical class -> row: the first neededClasses() entry of the class.
+  std::unordered_map<egraph::ClassId, uint32_t> Row;
+  /// Row per neededClasses() entry (a duplicate canonical class shares the
+  /// first entry's row; a row R is its own class's first iff
+  /// NeededRow[R] == R).
+  std::vector<uint32_t> NeededRow;
+  /// Per (term, argument), at ArgRow[ArgStart[T] + ArgIdx]: the row its
+  /// Operand clause reads, NoRow when the operand is free or a literal.
+  std::vector<uint32_t> ArgStart;
+  std::vector<uint32_t> ArgRow;
+
+  void build(const egraph::EGraph &G, const Universe &U);
+  uint32_t rowOf(const egraph::EGraph &G, egraph::ClassId Q) const {
+    auto It = Row.find(G.find(Q));
+    assert(It != Row.end() && "class without a B row");
+    return It->second;
+  }
+};
+
+/// A lower bound on the minimal cycle budget: the critical path through
+/// the universe. It is the least fixpoint of the Definition, Operand,
+/// Guard and Deadline families with exclusivity and memory relaxed:
+///
+///   * a free class is ready at -1;
+///   * a launch of term t on unit u may happen at 1 + the latest ready
+///     time of t's non-free, non-literal operands on u's cluster (0 when
+///     there are none); loads and stores also wait for the guard class on
+///     its earliest cluster;
+///   * a class is ready on cluster c at the earliest, over its producers,
+///     of launch + latency - 1 + the cross-cluster delay to c;
+///   * the bound is 1 + the latest, over the non-free goals, of the
+///     goal's earliest ready time on any cluster.
+///
+/// Level-0 unit propagation of the budget-K encoding derives exactly these
+/// facts, so every K below the bound is refuted by propagation alone (no
+/// conflict). \returns 0 when every goal is free, and
+/// std::numeric_limits<unsigned>::max() when some goal can never be
+/// ready. Any change to those four clause families in Encoder::encode
+/// must be mirrored here.
+unsigned criticalPathBound(const egraph::EGraph &G,
+                           const machine::MachineModel &M, const Universe &U,
+                           const std::vector<NamedGoal> &Goals,
+                           const EncoderOptions &Opts);
+
 /// Encodes the universe into a solver and decodes models into programs.
 /// One Encoder instance serves many probes (one encode per fresh Solver).
 class Encoder {
@@ -166,7 +217,7 @@ private:
   // there. -1 marks an absent variable.
   std::vector<sat::Var> LDense;
   std::vector<sat::Var> BDense;
-  std::unordered_map<egraph::ClassId, uint32_t> BClassRow;
+  ClassRows Rows; ///< B rows of the most recent encode.
   unsigned LastCycles = 0;   ///< K of the most recent encode.
   unsigned LastClusters = 0; ///< NC of the most recent encode.
   unsigned NumUnits = 0;     ///< The machine's unit count (fixed per model).

@@ -10,6 +10,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <future>
 #include <mutex>
@@ -102,9 +103,12 @@ Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
     F.Clauses = S.problemClauses();
     dumpProbeCnf(Opts, Name, K, F);
   }
-  T.reset();
-  P.Result = S.solve();
-  P.SolveSeconds = T.seconds();
+  {
+    obs::ObsSpan Solve("search.probe.solve");
+    T.reset();
+    P.Result = S.solve();
+    P.SolveSeconds = T.seconds();
+  }
   P.Conflicts = S.stats().Conflicts;
   P.Decisions = S.stats().Decisions;
   P.Propagations = S.stats().Propagations;
@@ -123,7 +127,10 @@ Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
         .arg("decisions", P.Decisions)
         .arg("restarts", P.Restarts);
   if (P.Result == SolveResult::Sat) {
+    obs::ObsSpan Extract("search.probe.extract");
+    T.reset();
     ProgramOut = Enc.extract(S, Goals, EncOpts, Name);
+    P.ExtractSeconds = T.seconds();
   } else if (P.Result == SolveResult::Unsat && Opts.CertifyRefutations) {
     T.reset();
     sat::Cnf F;
@@ -142,8 +149,8 @@ Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
 /// and incremental paths, so both report identical evidence.
 template <typename ProbeFn>
 SearchResult &runLinearLadder(SearchResult &Result, const SearchOptions &Opts,
-                              ProbeFn &&ProbeK) {
-  for (unsigned K = Opts.MinCycles; K <= Opts.MaxCycles; ++K) {
+                              unsigned Start, ProbeFn &&ProbeK) {
+  for (unsigned K = Start; K <= Opts.MaxCycles; ++K) {
     std::optional<machine::Program> Prog;
     SolveResult R = ProbeK(K, Prog);
     if (R == SolveResult::Sat) {
@@ -168,9 +175,9 @@ SearchResult &runLinearLadder(SearchResult &Result, const SearchOptions &Opts,
 /// [Lo = largest proved-infeasible + 1, Hi = smallest known-feasible].
 template <typename ProbeFn>
 SearchResult &runBinaryLadder(SearchResult &Result, const SearchOptions &Opts,
-                              ProbeFn &&ProbeK) {
-  unsigned Lo = Opts.MinCycles;
-  unsigned Hi = Opts.MinCycles;
+                              unsigned Start, ProbeFn &&ProbeK) {
+  unsigned Lo = Start;
+  unsigned Hi = Start;
   std::optional<machine::Program> BestProg;
   unsigned BestK = 0;
   int BestIdx = -1;
@@ -232,7 +239,8 @@ SearchResult searchIncremental(const egraph::EGraph &G, const machine::MachineMo
                                const Universe &U,
                                const std::vector<NamedGoal> &Goals,
                                const SearchOptions &Opts,
-                               const std::string &Name, bool Binary) {
+                               const std::string &Name, unsigned Start,
+                               bool Binary) {
   SearchResult Result;
   Encoder Enc(G, Isa, U);
   sat::Solver S;
@@ -272,8 +280,11 @@ SearchResult searchIncremental(const egraph::EGraph &G, const machine::MachineMo
     }
     const sat::SolverStats Before = S.stats();
     Timer ProbeTimer;
-    P.Result = S.solve({Assumption});
-    P.SolveSeconds = ProbeTimer.seconds();
+    {
+      obs::ObsSpan Solve("search.probe.solve");
+      P.Result = S.solve({Assumption});
+      P.SolveSeconds = ProbeTimer.seconds();
+    }
     P.Conflicts = S.stats().Conflicts - Before.Conflicts;
     P.Decisions = S.stats().Decisions - Before.Decisions;
     P.Propagations = S.stats().Propagations - Before.Propagations;
@@ -293,9 +304,12 @@ SearchResult searchIncremental(const egraph::EGraph &G, const machine::MachineMo
           .arg("failed_assumptions",
                static_cast<uint64_t>(P.FailedAssumptions));
     if (P.Result == SolveResult::Sat) {
+      obs::ObsSpan Extract("search.probe.extract");
+      ProbeTimer.reset();
       EncoderOptions ExtractOpts = EncOpts;
       ExtractOpts.Cycles = K;
       Prog = Enc.extract(S, Goals, ExtractOpts, Name);
+      P.ExtractSeconds = ProbeTimer.seconds();
     } else if (P.Result == SolveResult::Unsat && Opts.CertifyRefutations) {
       // Certificate: against the shared CNF plus the assumption as a unit,
       // the cumulative learnt-clause log ends with the final assumption
@@ -318,8 +332,8 @@ SearchResult searchIncremental(const egraph::EGraph &G, const machine::MachineMo
   };
 
   if (Binary)
-    return runBinaryLadder(Result, Opts, ProbeK);
-  return runLinearLadder(Result, Opts, ProbeK);
+    return runBinaryLadder(Result, Opts, Start, ProbeK);
+  return runLinearLadder(Result, Opts, Start, ProbeK);
 }
 
 /// The portfolio outer loop: probes a window of budgets [Base, Base+W)
@@ -333,7 +347,7 @@ SearchResult searchPortfolio(const egraph::EGraph &G, const machine::MachineMode
                              const Universe &U,
                              const std::vector<NamedGoal> &Goals,
                              const SearchOptions &Opts,
-                             const std::string &Name) {
+                             const std::string &Name, unsigned Start) {
   SearchResult Result;
   unsigned Threads = Opts.Threads;
   if (Threads == 0) {
@@ -363,7 +377,7 @@ SearchResult searchPortfolio(const egraph::EGraph &G, const machine::MachineMode
     int64_t CancelRequestNs = 0;
   };
 
-  for (unsigned Base = Opts.MinCycles; Base <= Opts.MaxCycles;) {
+  for (unsigned Base = Start; Base <= Opts.MaxCycles;) {
     const unsigned End = std::min(Opts.MaxCycles + 1, Base + Window);
     const unsigned N = End - Base;
     std::vector<Slot> Slots(N);
@@ -451,9 +465,10 @@ SearchResult searchPortfolio(const egraph::EGraph &G, const machine::MachineMode
       Result.Found = true;
       Result.Cycles = K;
       Result.Program = std::move(*Slots[*SatIdx].Prog);
-      // Every budget in [MinCycles, K) carries an UNSAT answer: earlier
+      // Every budget in [Start, K) carries an UNSAT answer: earlier
       // windows advanced only when fully refuted, and this window's
-      // budgets below K were just checked.
+      // budgets below K were just checked; the refutation at Start
+      // implies the budgets below it.
       Result.LowerBoundProved = K > Opts.MinCycles;
       Result.WinningProbe =
           static_cast<int>(Result.Probes.size() - N + *SatIdx);
@@ -495,7 +510,17 @@ void runExplainProbe(const egraph::EGraph &G, const machine::MachineModel &Isa,
         .arg("core_tags", static_cast<uint64_t>(Result.WhyUnsatTags.size()));
 }
 
-/// Dispatches on strategy; the wrapper adds the timing summary.
+/// The first budget every strategy probes: one below the critical-path
+/// bound \p Bound, clamped to [MinCycles, MaxCycles]. When it is above
+/// MinCycles its refutation implies every smaller budget's.
+unsigned firstProbeBudget(const SearchOptions &Opts, unsigned Bound) {
+  if (Bound == 0)
+    return Opts.MinCycles;
+  return std::max(Opts.MinCycles, std::min(Bound - 1, Opts.MaxCycles));
+}
+
+/// Dispatches on strategy, from the critical-path start; the wrapper adds
+/// the timing summary.
 SearchResult searchBudgetsImpl(const egraph::EGraph &G, const machine::MachineModel &Isa,
                                const Universe &U,
                                const std::vector<NamedGoal> &Goals,
@@ -523,24 +548,39 @@ SearchResult searchBudgetsImpl(const egraph::EGraph &G, const machine::MachineMo
     }
   }
 
+  const unsigned Bound =
+      criticalPathBound(G, Isa, U, Goals, Opts.Encoding);
+  const unsigned Start = firstProbeBudget(Opts, Bound);
+  if (obs::enabled() && Start > Opts.MinCycles)
+    obs::Registry::global()
+        .counter("search.probes_skipped")
+        .add(Start - Opts.MinCycles);
+
   if (Opts.Strategy == SearchStrategy::Portfolio)
-    return searchPortfolio(G, Isa, U, Goals, Opts, Name);
-
-  if (Opts.Strategy == SearchStrategy::Incremental || Opts.Incremental)
-    return searchIncremental(G, Isa, U, Goals, Opts, Name,
-                             /*Binary=*/Opts.Strategy ==
-                                 SearchStrategy::Binary);
-
-  auto ProbeK = [&](unsigned K, std::optional<machine::Program> &Prog) {
-    Probe P = runProbe(Enc, Goals, Opts, K, Prog, Name);
-    noteProbe(P);
-    Result.Probes.push_back(P);
-    return P.Result;
-  };
-
-  if (Opts.Strategy == SearchStrategy::Linear)
-    return runLinearLadder(Result, Opts, ProbeK);
-  return runBinaryLadder(Result, Opts, ProbeK);
+    Result = searchPortfolio(G, Isa, U, Goals, Opts, Name, Start);
+  else if (Opts.Strategy == SearchStrategy::Incremental || Opts.Incremental)
+    Result = searchIncremental(G, Isa, U, Goals, Opts, Name, Start,
+                               /*Binary=*/Opts.Strategy ==
+                                   SearchStrategy::Binary);
+  else {
+    auto ProbeK = [&](unsigned K, std::optional<machine::Program> &Prog) {
+      Probe P = runProbe(Enc, Goals, Opts, K, Prog, Name);
+      noteProbe(P);
+      Result.Probes.push_back(P);
+      return P.Result;
+    };
+    if (Opts.Strategy == SearchStrategy::Linear)
+      runLinearLadder(Result, Opts, Start, ProbeK);
+    else
+      runBinaryLadder(Result, Opts, Start, ProbeK);
+  }
+  // A first probe above MinCycles sits below the critical path, so only a
+  // bound that overshoots the encoding could make it Sat.
+  assert((Start == Opts.MinCycles || Result.Probes.empty() ||
+          Result.Probes.front().Result != SolveResult::Sat) &&
+         "critical-path bound above a feasible budget");
+  Result.CriticalPathBound = Bound;
+  return Result;
 }
 
 } // namespace
@@ -567,8 +607,8 @@ SearchResult denali::codegen::searchBudgets(
     runExplainProbe(G, Isa, U, Goals, Opts, Result);
   Result.WallSeconds = Wall.seconds();
   for (const Probe &P : Result.Probes)
-    Result.CpuSeconds +=
-        P.EncodeSeconds + P.SolveSeconds + P.ProofCheckSeconds;
+    Result.CpuSeconds += P.EncodeSeconds + P.SolveSeconds +
+                         P.ExtractSeconds + P.ProofCheckSeconds;
   if (obs::enabled()) {
     if (Span.active())
       Span.arg("name", Name.c_str())
@@ -576,6 +616,7 @@ SearchResult denali::codegen::searchBudgets(
                StrategyNames[static_cast<unsigned>(Opts.Strategy)])
           .arg("found", Result.Found ? "yes" : "no")
           .arg("cycles", Result.Cycles)
+          .arg("critical_path", Result.CriticalPathBound)
           .arg("probes", static_cast<uint64_t>(Result.Probes.size()))
           .arg("cancelled",
                static_cast<uint64_t>(Result.CancelledProbes));

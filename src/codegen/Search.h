@@ -12,6 +12,11 @@
 /// strategies pin the same minimal K with the same SAT/UNSAT evidence;
 /// every probe — cancelled ones included — is recorded.
 ///
+/// Every strategy starts just below the universe's critical-path bound
+/// (criticalPathBound): that first probe is a real SAT refutation, and it
+/// implies every smaller budget's, since a schedule within fewer cycles is
+/// also one within that budget.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DENALI_CODEGEN_SEARCH_H
@@ -78,6 +83,8 @@ struct Probe {
   EncodingStats Stats;
   double EncodeSeconds = 0;
   double SolveSeconds = 0;
+  /// Reading the schedule off a Sat model (0 for other answers).
+  double ExtractSeconds = 0;
   /// Conflicts spent on this probe (a per-call delta under the
   /// incremental solver, whose counters are cumulative).
   uint64_t Conflicts = 0;
@@ -130,9 +137,9 @@ struct SearchResult {
   /// strategy this is what shrinks; CpuSeconds stays comparable to the
   /// sequential strategies (total probe work performed).
   double WallSeconds = 0;
-  /// Sum of every probe's encode + solve + proof-check time across all
-  /// workers (== WallSeconds for the sequential strategies, up to
-  /// bookkeeping noise).
+  /// Sum of every probe's encode + solve + extract + proof-check time
+  /// across all workers (== WallSeconds for the sequential strategies, up
+  /// to bookkeeping noise).
   double CpuSeconds = 0;
   /// Number of probes that were cooperatively cancelled (portfolio only).
   size_t CancelledProbes = 0;
@@ -147,6 +154,10 @@ struct SearchResult {
   std::vector<uint32_t> WhyUnsatTags;
   /// The budget the explain probe refuted (Cycles - 1; 0 when none ran).
   unsigned WhyUnsatCycles = 0;
+  /// criticalPathBound of the searched universe (0 when every goal is
+  /// free; UINT_MAX when some goal can never be ready). Every strategy
+  /// starts probing at max(MinCycles, min(bound - 1, MaxCycles)).
+  unsigned CriticalPathBound = 0;
 };
 
 /// Finds the minimal-cycle program for \p Goals.

@@ -41,16 +41,16 @@ void Solver::setClauseActivity(CRef C, float A) {
   std::memcpy(&Arena[C + 1], &A, sizeof(float));
 }
 
-Solver::CRef Solver::allocClause(const ClauseLits &Lits, bool Learnt) {
+Solver::CRef Solver::allocClause(const Lit *Lits, size_t N, bool Learnt) {
   CRef C = static_cast<CRef>(Arena.size());
-  Arena.push_back(static_cast<uint32_t>(Lits.size()) |
-                  (Learnt ? LearntBit : 0));
+  Arena.resize(Arena.size() + 2 + N);
+  Arena[C] = static_cast<uint32_t>(N) | (Learnt ? LearntBit : 0);
   // Word [1] is the activity for learnt clauses; problem clauses never use
   // it (claBumpActivity early-returns for them), so it carries the
   // attribution tag instead.
-  Arena.push_back(Learnt ? 0 : CurrentTag);
-  for (Lit L : Lits)
-    Arena.push_back(static_cast<uint32_t>(L.index()));
+  Arena[C + 1] = Learnt ? 0 : CurrentTag;
+  for (size_t I = 0; I < N; ++I)
+    Arena[C + 2 + I] = static_cast<uint32_t>(Lits[I].index());
   return C;
 }
 
@@ -151,16 +151,18 @@ void Solver::detachClause(CRef C) {
   }
 }
 
-bool Solver::addClause(const ClauseLits &Input) {
+bool Solver::addClause(const Lit *Input, size_t N) {
   assert(decisionLevel() == 0 && "clauses must be added at level 0");
   if (Unsatisfiable)
     return false;
   // Normalize: sort, dedup, drop false literals, detect tautologies and
-  // satisfied clauses.
-  ClauseLits Lits = Input;
+  // satisfied clauses. The survivors are compacted to the front of the
+  // scratch buffer (the write index never passes the read index).
+  ClauseLits &Lits = AddScratch;
+  Lits.assign(Input, Input + N);
   std::sort(Lits.begin(), Lits.end());
   Lits.erase(std::unique(Lits.begin(), Lits.end()), Lits.end());
-  ClauseLits Out;
+  size_t Kept = 0;
   for (size_t I = 0; I < Lits.size(); ++I) {
     Lit L = Lits[I];
     if (I + 1 < Lits.size() && Lits[I + 1] == ~L)
@@ -170,20 +172,21 @@ bool Solver::addClause(const ClauseLits &Input) {
       return true; // Already satisfied at level 0.
     if (V == LBool::False)
       continue; // Falsified at level 0; drop.
-    Out.push_back(L);
+    Lits[Kept++] = L;
   }
+  Lits.resize(Kept);
   ++ProblemClauses;
-  if (Out.empty()) {
+  if (Lits.empty()) {
     if (CoreTracking && CurrentTag)
       CoreOut.push_back(CurrentTag);
     Unsatisfiable = true;
     finalizeCore();
     return false;
   }
-  if (Out.size() == 1) {
+  if (Lits.size() == 1) {
     if (CoreTracking && CurrentTag)
-      UnitTags[Out[0].var()] = {CurrentTag};
-    enqueue(Out[0], InvalidCRef);
+      UnitTags[Lits[0].var()] = {CurrentTag};
+    enqueue(Lits[0], InvalidCRef);
     if (CRef Confl = propagate(); Confl != InvalidCRef) {
       if (CoreTracking)
         collectLevel0Core(Confl);
@@ -192,7 +195,7 @@ bool Solver::addClause(const ClauseLits &Input) {
     }
     return true;
   }
-  CRef C = allocClause(Out, /*Learnt=*/false);
+  CRef C = allocClause(Lits.data(), Lits.size(), /*Learnt=*/false);
   Problems.push_back(C);
   attachClause(C);
   return true;
@@ -710,7 +713,7 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
           UnitTags[Learnt[0].var()] = ResolveTags;
         enqueue(Learnt[0], InvalidCRef);
       } else {
-        CRef C = allocClause(Learnt, /*Learnt=*/true);
+        CRef C = allocClause(Learnt.data(), Learnt.size(), /*Learnt=*/true);
         if (CoreTracking && !ResolveTags.empty())
           LearntTags[C] = ResolveTags;
         Learnts.push_back(C);

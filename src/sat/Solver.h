@@ -62,12 +62,25 @@ public:
   Var newVar();
   int numVars() const { return static_cast<int>(Assigns.size()); }
 
-  /// Adds a clause. \returns false if the formula is already trivially
-  /// unsatisfiable (empty clause, or conflicting units at level 0).
-  bool addClause(const ClauseLits &Lits);
-  bool addClause(Lit A) { return addClause(ClauseLits{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(ClauseLits{A, B}); }
-  bool addClause(Lit A, Lit B, Lit C) { return addClause(ClauseLits{A, B, C}); }
+  /// Adds the clause \p Lits[0..N). It is normalized first (sorted,
+  /// deduplicated, level-0 false literals dropped; a tautology or a clause
+  /// already true at level 0 is skipped) in a reusable scratch buffer, so
+  /// intake allocates nothing beyond the clause's own arena words.
+  /// \returns false if the formula is already trivially unsatisfiable
+  /// (empty clause, or conflicting units at level 0).
+  bool addClause(const Lit *Lits, size_t N);
+  bool addClause(const ClauseLits &Lits) {
+    return addClause(Lits.data(), Lits.size());
+  }
+  bool addClause(Lit A) { return addClause(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    const Lit Lits[] = {A, B};
+    return addClause(Lits, 2);
+  }
+  bool addClause(Lit A, Lit B, Lit C) {
+    const Lit Lits[] = {A, B, C};
+    return addClause(Lits, 3);
+  }
 
   uint64_t numClauses() const { return ProblemClauses; }
 
@@ -176,7 +189,7 @@ private:
   float clauseActivity(CRef C) const;
   void setClauseActivity(CRef C, float A);
 
-  CRef allocClause(const ClauseLits &Lits, bool Learnt);
+  CRef allocClause(const Lit *Lits, size_t N, bool Learnt);
 
   struct Watcher {
     CRef Clause;
@@ -227,6 +240,9 @@ private:
   std::vector<uint8_t> Model;   ///< Snapshot of the last Sat assignment.
   ClauseLits FinalConflict;     ///< Failed assumptions of the last Unsat.
   uint64_t WastedArenaWords = 0; ///< Holes left by deleted learnt clauses.
+
+  // Scratch for addClause()'s normalization.
+  ClauseLits AddScratch;
 
   // Scratch for analyze().
   std::vector<uint8_t> SeenFlags;

@@ -3,12 +3,17 @@
 #include "alpha/Simulator.h"
 #include "axioms/BuiltinAxioms.h"
 #include "codegen/Search.h"
+#include "driver/Superoptimizer.h"
 #include "match/Elaborate.h"
 #include "match/Matcher.h"
+#include "verify/GmaGen.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <limits>
 #include <random>
+#include <sstream>
 
 using namespace denali;
 using namespace denali::codegen;
@@ -421,5 +426,282 @@ TEST_P(PipelineDifferential, RandomTerms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineDifferential,
                          ::testing::Range(0u, 20u));
+
+//===----------------------------------------------------------------------===
+// The critical-path bound the ladder starts from must be sound: never above
+// the minimal K, every budget below it refuted by unit propagation alone,
+// and the probe just below it recorded as the ladder's refutation. Run on
+// the sample programs and generated GMAs, per backend, with and without the
+// cluster model.
+//===----------------------------------------------------------------------===
+
+/// The bound by a second route, for tightness: step through cycles; at
+/// cycle I launch every term whose operands (and, for loads and stores, the
+/// guard) were ready by I - 1 on its unit's cluster, making its class ready
+/// at I + latency - 1 + the cross-cluster delay. This is the order in which
+/// level-0 propagation derives the encoding's negative facts. Classes not
+/// ready within \p Horizon cycles count as never ready.
+unsigned steppedBound(const EGraph &G, const machine::MachineModel &M,
+                      const Universe &U, const std::vector<NamedGoal> &Goals,
+                      const EncoderOptions &Opts, int Horizon) {
+  const int Never = Horizon;
+  const unsigned NC = Opts.SingleCluster ? 1 : M.numClusters();
+  auto clusterOf = [&](machine::UnitId Un) {
+    return Opts.SingleCluster ? 0u : M.clusterOf(Un);
+  };
+  std::unordered_map<ClassId, std::vector<int>> Ready;
+  for (ClassId Q : U.neededClasses())
+    Ready[G.find(Q)].assign(NC, Never);
+  auto earliest = [&](ClassId Q) {
+    const std::vector<int> &R = Ready.at(G.find(Q));
+    return *std::min_element(R.begin(), R.end());
+  };
+  std::optional<ClassId> Guard;
+  if (Opts.GuardClass && !U.isFree(G.find(*Opts.GuardClass)))
+    Guard = *Opts.GuardClass;
+  for (int I = 0; I < Horizon; ++I) {
+    for (const MachineTerm &T : U.terms()) {
+      if (Guard && (T.IsLoad || T.IsStore) && earliest(*Guard) > I - 1)
+        continue;
+      for (machine::UnitId Un : T.Units) {
+        unsigned C = clusterOf(Un);
+        bool OperandsReady = true;
+        for (size_t A = 0; A < T.Args.size(); ++A)
+          if (!U.isFree(T.Args[A]) &&
+              (T.IsLdiq ||
+               !U.isImmOperand(G, *T.Desc, A, T.Args.size(), T.Args[A])))
+            OperandsReady &= Ready.at(G.find(T.Args[A]))[C] <= I - 1;
+        if (!OperandsReady)
+          continue;
+        for (unsigned CC = 0; CC < NC; ++CC) {
+          int Delay = Opts.SingleCluster || T.IsStore || CC == C
+                          ? 0
+                          : static_cast<int>(M.crossClusterDelay());
+          int &R = Ready.at(G.find(T.Class))[CC];
+          R = std::min(R, I + static_cast<int>(T.Latency) - 1 + Delay);
+        }
+      }
+    }
+  }
+  unsigned Bound = 0;
+  for (const NamedGoal &Goal : Goals) {
+    if (U.isFree(G.find(Goal.Class)))
+      continue;
+    int R = earliest(Goal.Class);
+    if (R >= Never)
+      return std::numeric_limits<unsigned>::max();
+    Bound = std::max(Bound, static_cast<unsigned>(R) + 1);
+  }
+  return Bound;
+}
+
+class CriticalPathBound
+    : public ::testing::TestWithParam<std::tuple<const char *, bool>> {
+protected:
+  /// Guarded GMAs whose universe has loads or stores (the Guard family
+  /// shapes the bound only there).
+  unsigned GuardedMemory = 0;
+
+  driver::Options options() const {
+    driver::Options Opts;
+    Opts.MachineName = std::get<0>(GetParam());
+    Opts.Search.Encoding.SingleCluster = std::get<1>(GetParam());
+    return Opts;
+  }
+
+  void check(const driver::Superoptimizer &Opt, const driver::GmaResult &R) {
+    SCOPED_TRACE(R.Gma.Name);
+    driver::SaturatedGma Sat = Opt.saturateGMA(R.Gma);
+    if (!Sat.ok())
+      return;
+    const EGraph &G = *Sat.Graph;
+    std::vector<ClassId> Roots;
+    for (const NamedGoal &Goal : Sat.Goals)
+      Roots.push_back(Goal.Class);
+    if (Sat.GuardClass)
+      Roots.push_back(*Sat.GuardClass);
+    Universe U;
+    if (!U.build(G, Opt.isa(), Roots, Sat.UOpts, nullptr))
+      return;
+    SearchOptions Opts = Opt.options().Search;
+    if (Sat.GuardClass) {
+      Opts.Encoding.GuardClass = *Sat.GuardClass;
+      for (const MachineTerm &T : U.terms())
+        if (T.IsLoad || T.IsStore) {
+          ++GuardedMemory;
+          break;
+        }
+    }
+    const unsigned Bound =
+        criticalPathBound(G, Opt.isa(), U, Sat.Goals, Opts.Encoding);
+    EXPECT_EQ(R.Search.CriticalPathBound, Bound);
+    EXPECT_EQ(Bound, steppedBound(G, Opt.isa(), U, Sat.Goals, Opts.Encoding,
+                                  /*Horizon=*/64));
+    if (R.Search.Found) {
+      EXPECT_LE(Bound, R.Search.Cycles);
+    }
+
+    Encoder Enc(G, Opt.isa(), U);
+    for (unsigned K = 1; K < Bound && K <= Opts.MaxCycles; ++K) {
+      sat::Solver S;
+      EncoderOptions EncOpts = Opts.Encoding;
+      EncOpts.Cycles = K;
+      Enc.encode(S, Sat.Goals, EncOpts);
+      EXPECT_EQ(S.solve(), sat::SolveResult::Unsat) << "K=" << K;
+      EXPECT_EQ(S.stats().Conflicts, 0u) << "K=" << K;
+    }
+
+    if (Bound >= 1 && Bound - 1 >= Opts.MinCycles &&
+        Bound - 1 <= Opts.MaxCycles) {
+      auto It = std::find_if(
+          R.Search.Probes.begin(), R.Search.Probes.end(),
+          [&](const Probe &P) { return P.Cycles == Bound - 1; });
+      ASSERT_NE(It, R.Search.Probes.end()) << "no probe at " << Bound - 1;
+      EXPECT_EQ(It->Result, sat::SolveResult::Unsat);
+    }
+  }
+};
+
+TEST_P(CriticalPathBound, SoundOnSamplePrograms) {
+  for (const char *File : {"byteswap4.dnl", "checksum.dnl",
+                           "checksum_pipelined.dnl", "copyloop.dnl",
+                           "rowop.dnl"}) {
+    SCOPED_TRACE(File);
+    std::ifstream In(std::string(DENALI_PROGRAMS_DIR) + "/" + File);
+    ASSERT_TRUE(In) << File;
+    std::ostringstream Text;
+    Text << In.rdbuf();
+    driver::Superoptimizer Opt(options());
+    driver::CompileResult C = Opt.compileSource(Text.str());
+    ASSERT_TRUE(C.ok()) << C.Error;
+    for (const driver::GmaResult &R : C.Gmas)
+      check(Opt, R);
+  }
+  EXPECT_GT(GuardedMemory, 0u); // checksum's loop body.
+}
+
+TEST_P(CriticalPathBound, SoundOnGeneratedGmas) {
+  driver::Superoptimizer Opt(options());
+  Opt.options().Search.MaxCycles = 12;
+  Opt.options().Matching.MaxNodes = 8000;
+  Opt.options().Matching.MaxRounds = 8;
+  for (unsigned Seed = 0; Seed < 10; ++Seed) {
+    verify::GmaGen Gen(Opt.context(), Seed);
+    for (unsigned I = 0; I < 3; ++I) {
+      gma::GMA Gma = Gen.next();
+      check(Opt, Opt.compileGMA(Gma));
+    }
+  }
+  EXPECT_GT(GuardedMemory, 0u);
+}
+
+/// Two one-unit clusters: adds issue only on cluster 0, multiplies only on
+/// cluster 1, and a result reaches the other cluster one cycle late. On
+/// this machine, unlike the EV6 (where cluster 1 runs everything), the
+/// cross-cluster delay lies on the critical path.
+class SplitClusterMachine : public machine::MachineModel {
+public:
+  explicit SplitClusterMachine(ir::Context &Ctx) {
+    addUnit("A0", 0);
+    addUnit("M1", 1);
+    Clusters = 2;
+    IssueWidth = 2;
+    machine::InstrDesc Add;
+    Add.Op = Ctx.Ops.builtin(Builtin::Add64);
+    Add.Mnemonic = "add";
+    Add.UnitMask = 1u << 0;
+    addInstr(Add);
+    machine::InstrDesc Mul;
+    Mul.Op = Ctx.Ops.builtin(Builtin::Mul64);
+    Mul.Mnemonic = "mul";
+    Mul.UnitMask = 1u << 1;
+    Mul.Latency = 2;
+    addInstr(Mul);
+    machine::InstrDesc Li;
+    Li.Op = Ctx.Ops.builtin(Builtin::Const);
+    Li.Mnemonic = "li";
+    Li.UnitMask = 3;
+    Li.AllowsImm = false;
+    setConstMaterialize(Li);
+  }
+  std::string name() const override { return "split"; }
+  unsigned crossClusterDelay() const override { return 1; }
+};
+
+TEST(CriticalPathBoundCases, CrossClusterDelayOnThePath) {
+  ir::Context Ctx;
+  SplitClusterMachine M(Ctx);
+  EGraph G(Ctx);
+  auto var = [&](const char *N) {
+    return G.addNode(Ctx.Ops.makeVariable(N), {});
+  };
+  // mul on M1 completes at the end of cycle 1, reaches cluster 0 a cycle
+  // later, so the add on A0 launches at 3: four cycles, not three.
+  ClassId Goal = G.addNode(
+      Ctx.Ops.builtin(Builtin::Add64),
+      {G.addNode(Ctx.Ops.builtin(Builtin::Mul64), {var("x"), var("y")}),
+       var("z")});
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, M, {Goal}, UniverseOptions(), &Err)) << Err;
+  std::vector<NamedGoal> Goals = {{"res", Goal, false}};
+  EncoderOptions Enc;
+  EXPECT_EQ(criticalPathBound(G, M, U, Goals, Enc), 4u);
+  Enc.SingleCluster = true;
+  EXPECT_EQ(criticalPathBound(G, M, U, Goals, Enc), 3u);
+
+  SearchResult R = searchBudgets(G, M, U, Goals, SearchOptions(), "split");
+  ASSERT_TRUE(R.Found) << R.Error;
+  EXPECT_EQ(R.Cycles, 4u);
+  EXPECT_EQ(R.CriticalPathBound, 4u);
+  ASSERT_EQ(R.Probes.size(), 2u);
+  EXPECT_EQ(R.Probes[0].Cycles, 3u);
+  EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
+  EXPECT_EQ(R.Probes[0].Conflicts, 0u);
+}
+
+TEST(CriticalPathBoundCases, GuardOnThePath) {
+  // A load waits for its guard: mulq (7 cycles) then cmpult (1) finish at
+  // the end of cycle 7, so the ldq (3) launches at 8 and completes at 10.
+  ir::Context Ctx;
+  alpha::ISA Isa(Ctx);
+  EGraph G(Ctx);
+  auto var = [&](const char *N) {
+    return G.addNode(Ctx.Ops.makeVariable(N), {});
+  };
+  ClassId Guard = G.addNode(
+      Ctx.Ops.builtin(Builtin::CmpUlt),
+      {G.addNode(Ctx.Ops.builtin(Builtin::Mul64), {var("x"), var("y")}),
+       var("z")});
+  ClassId Goal =
+      G.addNode(Ctx.Ops.builtin(Builtin::Select), {var("M"), var("p")});
+  Universe U;
+  std::string Err;
+  ASSERT_TRUE(U.build(G, Isa, {Goal, Guard}, UniverseOptions(), &Err))
+      << Err;
+  std::vector<NamedGoal> Goals = {{"res", Goal, false}};
+  SearchOptions Opts;
+  EXPECT_EQ(criticalPathBound(G, Isa, U, Goals, Opts.Encoding), 3u);
+  Opts.Encoding.GuardClass = Guard;
+  EXPECT_EQ(criticalPathBound(G, Isa, U, Goals, Opts.Encoding), 11u);
+
+  SearchResult R = searchBudgets(G, Isa, U, Goals, Opts, "guarded");
+  ASSERT_TRUE(R.Found) << R.Error;
+  EXPECT_EQ(R.Cycles, 11u);
+  ASSERT_EQ(R.Probes.size(), 2u);
+  EXPECT_EQ(R.Probes[0].Cycles, 10u);
+  EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CriticalPathBound,
+    // rv64 has one cluster, so its SingleCluster run would repeat this one.
+    ::testing::Values(std::make_tuple("alpha", false),
+                      std::make_tuple("alpha", true),
+                      std::make_tuple("rv64", false)),
+    [](const ::testing::TestParamInfo<std::tuple<const char *, bool>> &I) {
+      return std::string(std::get<0>(I.param)) +
+             (std::get<1>(I.param) ? "_single_cluster" : "_clusters");
+    });
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 using namespace denali;
 using namespace denali::sat;
@@ -395,6 +396,182 @@ TEST_P(RandomCnf, AgreesWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnf, ::testing::Range(0u, 40u));
+
+//===----------------------------------------------------------------------===
+// Clause intake: normalization (sort, dedup, tautology, level-0 literals)
+// as seen through numClauses(), problemClauses() and addClause's answer.
+//===----------------------------------------------------------------------===
+
+/// The problem as text: clauses joined by " | ", literals as signed 1-based
+/// DIMACS numbers, "[]" for the empty clause.
+std::string problemText(const Solver &S) {
+  std::string Out;
+  for (const ClauseLits &C : S.problemClauses()) {
+    if (!Out.empty())
+      Out += " | ";
+    if (C.empty())
+      Out += "[]";
+    for (size_t I = 0; I < C.size(); ++I) {
+      if (I)
+        Out += ' ';
+      Out += std::to_string(C[I].negative() ? -(C[I].var() + 1)
+                                            : C[I].var() + 1);
+    }
+  }
+  return Out;
+}
+
+TEST(ClauseIntake, DuplicatesCollapse) {
+  Solver S;
+  Lit A = P(S, 0), B = P(S, 1);
+  EXPECT_TRUE(S.addClause(ClauseLits{B, A, A, B}));
+  EXPECT_EQ(S.numClauses(), 1u);
+  EXPECT_EQ(problemText(S), "1 2");
+  EXPECT_TRUE(S.addClause(A, A)); // A unit once deduplicated.
+  EXPECT_EQ(S.numClauses(), 2u);
+  EXPECT_EQ(problemText(S), "1 | 1 2");
+}
+
+TEST(ClauseIntake, TautologiesAreSkipped) {
+  Solver S;
+  Lit A = P(S, 0), B = P(S, 1);
+  EXPECT_TRUE(S.addClause(A, B, ~A));
+  EXPECT_TRUE(S.addClause(ClauseLits{~B, B}));
+  EXPECT_EQ(S.numClauses(), 0u);
+  EXPECT_EQ(problemText(S), "");
+  EXPECT_EQ(S.solve(), SolveResult::Sat);
+}
+
+TEST(ClauseIntake, LevelZeroLiterals) {
+  Solver S;
+  Lit A = P(S, 0), B = P(S, 1), C = P(S, 2);
+  EXPECT_TRUE(S.addClause(A));
+  EXPECT_TRUE(S.addClause(B, A)); // True at level 0: skipped.
+  EXPECT_EQ(S.numClauses(), 1u);
+  EXPECT_TRUE(S.addClause(~A, B, C)); // ~A dropped.
+  EXPECT_EQ(S.numClauses(), 2u);
+  EXPECT_EQ(problemText(S), "1 | 2 3");
+  EXPECT_TRUE(S.addClause(~A, B)); // Shrinks to the unit B.
+  EXPECT_EQ(S.numClauses(), 3u);
+  EXPECT_EQ(problemText(S), "1 | 2 | 2 3");
+}
+
+TEST(ClauseIntake, UnitsPropagateThenRefute) {
+  Solver S;
+  Lit A = P(S, 0), B = P(S, 1), C = P(S, 2), D = P(S, 3);
+  EXPECT_TRUE(S.addClause(~A, B));
+  EXPECT_TRUE(S.addClause(~B, C));
+  // Propagating B, then C, moves each falsified watch behind the true one
+  // in the stored clause.
+  EXPECT_TRUE(S.addClause(A));
+  EXPECT_EQ(S.numClauses(), 3u);
+  EXPECT_EQ(problemText(S), "1 | 2 -1 | 3 -2");
+  EXPECT_TRUE(S.addClause(~C, D)); // C is true: the unit D.
+  EXPECT_EQ(S.numClauses(), 4u);
+  EXPECT_EQ(problemText(S), "1 | 4 | 2 -1 | 3 -2");
+  EXPECT_FALSE(S.addClause(~C)); // Every literal false: empty.
+  EXPECT_EQ(S.numClauses(), 5u);
+  EXPECT_EQ(problemText(S), "[]");
+  EXPECT_FALSE(S.addClause(D)); // Nothing is counted once unsatisfiable.
+  EXPECT_EQ(S.numClauses(), 5u);
+  EXPECT_EQ(S.solve(), SolveResult::Unsat);
+  EXPECT_EQ(S.stats().Conflicts, 0u);
+}
+
+TEST(ClauseIntake, PropagatedConflictAtAddTime) {
+  Solver S;
+  Lit A = P(S, 0), B = P(S, 1);
+  EXPECT_TRUE(S.addClause(~A, B));
+  EXPECT_TRUE(S.addClause(~A, ~B));
+  EXPECT_FALSE(S.addClause(A));
+  EXPECT_EQ(S.numClauses(), 3u);
+  EXPECT_EQ(problemText(S), "[]");
+  EXPECT_EQ(S.solve(), SolveResult::Unsat);
+  EXPECT_EQ(S.stats().Conflicts, 0u);
+}
+
+TEST(ClauseIntake, EmptyClause) {
+  Solver S;
+  S.newVar();
+  EXPECT_FALSE(S.addClause(ClauseLits{}));
+  EXPECT_EQ(S.numClauses(), 1u);
+  EXPECT_EQ(problemText(S), "[]");
+  EXPECT_EQ(S.solve(), SolveResult::Unsat);
+}
+
+TEST(ClauseIntake, AtMostOneGroups) {
+  {
+    Solver S;
+    ClauseLits Group{P(S, 0), P(S, 1), P(S, 2)};
+    addAtMostOne(S, Group, AtMostOneStyle::Pairwise);
+    EXPECT_EQ(S.numClauses(), 3u);
+    EXPECT_EQ(problemText(S), "-1 -2 | -1 -3 | -2 -3");
+  }
+  {
+    // One member true at level 0: the others become units, and the pair
+    // clause between them is already satisfied.
+    Solver S;
+    ClauseLits Group{P(S, 0), P(S, 1), P(S, 2)};
+    S.addClause(Group[0]);
+    addAtMostOne(S, Group, AtMostOneStyle::Pairwise);
+    EXPECT_EQ(S.numClauses(), 3u);
+    EXPECT_EQ(problemText(S), "1 | -2 | -3");
+  }
+  {
+    // Ladder over five literals (aux variables 6..9).
+    Solver S;
+    ClauseLits Group;
+    for (int I = 0; I < 5; ++I)
+      Group.push_back(P(S, I));
+    addAtMostOne(S, Group, AtMostOneStyle::Ladder);
+    EXPECT_EQ(S.numVars(), 9);
+    EXPECT_EQ(S.numClauses(), 11u);
+    EXPECT_EQ(problemText(S), "-1 6 | -2 7 | -6 7 | -2 -6 | -3 8 | -7 8 | "
+                              "-3 -7 | -4 9 | -8 9 | -4 -8 | -5 -9");
+  }
+  {
+    // A repeated member: pairwise emits (~a | ~a), the unit ~a, which
+    // satisfies the last pair (~b | ~a) before it is counted.
+    Solver S;
+    Lit A = P(S, 0), B = P(S, 1);
+    addAtMostOne(S, ClauseLits{A, B, A}, AtMostOneStyle::Pairwise);
+    EXPECT_EQ(S.numClauses(), 2u);
+    EXPECT_EQ(problemText(S), "-1 | -1 -2");
+  }
+}
+
+TEST(ClauseIntake, PointerEntryMatchesVectorEntry) {
+  // Random clause streams with duplicates, tautologies and units, fed once
+  // through the (pointer, size) entry and once through ClauseLits and the
+  // small-arity overloads: identical answers, counts and problems. Clause
+  // widths vary so the reused scratch buffer both grows and shrinks.
+  for (unsigned Seed = 0; Seed < 20; ++Seed) {
+    std::mt19937 Rng(Seed);
+    Solver ByPtr, ByVec;
+    const int NumVars = 12;
+    for (int V = 0; V < NumVars; ++V) {
+      ByPtr.newVar();
+      ByVec.newVar();
+    }
+    for (int I = 0; I < 40; ++I) {
+      ClauseLits C;
+      size_t Width = Rng() % 7;
+      for (size_t J = 0; J < Width; ++J)
+        C.push_back(Lit(static_cast<Var>(Rng() % NumVars), Rng() & 1));
+      if (C.empty() && Rng() % 4 != 0)
+        C.push_back(Lit(static_cast<Var>(Rng() % NumVars), Rng() & 1));
+      bool ViaPtr = ByPtr.addClause(C.data(), C.size());
+      bool ViaVec = C.size() == 1   ? ByVec.addClause(C[0])
+                    : C.size() == 2 ? ByVec.addClause(C[0], C[1])
+                    : C.size() == 3 ? ByVec.addClause(C[0], C[1], C[2])
+                                    : ByVec.addClause(C);
+      ASSERT_EQ(ViaPtr, ViaVec) << "seed " << Seed << " clause " << I;
+      ASSERT_EQ(ByPtr.numClauses(), ByVec.numClauses());
+      ASSERT_EQ(problemText(ByPtr), problemText(ByVec));
+    }
+    EXPECT_EQ(ByPtr.solve(), ByVec.solve()) << "seed " << Seed;
+  }
+}
 
 //===----------------------------------------------------------------------===
 // Cardinality encodings.

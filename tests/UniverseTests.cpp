@@ -206,10 +206,13 @@ TEST_F(UniverseTest, SearchMaxCyclesTooSmall) {
   SearchResult R = searchBudgets(G, Isa, U, {{"res", Goal, false}}, Opts,
                                  "cap");
   EXPECT_FALSE(R.Found);
-  EXPECT_NE(R.Error.find("no program within"), std::string::npos);
-  EXPECT_EQ(R.Probes.size(), 3u); // K = 1, 2, 3 all refuted.
-  for (const Probe &P : R.Probes)
-    EXPECT_EQ(P.Result, sat::SolveResult::Unsat);
+  EXPECT_EQ(R.Error, "no program within 3 cycles");
+  // The critical path is 7 cycles, so the ladder starts at the ceiling:
+  // the one probe K = 3 is refuted, and it implies K = 1 and 2.
+  EXPECT_EQ(R.CriticalPathBound, 7u);
+  ASSERT_EQ(R.Probes.size(), 1u);
+  EXPECT_EQ(R.Probes[0].Cycles, 3u);
+  EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
 }
 
 TEST_F(UniverseTest, BinarySearchDoublingBoundary) {
@@ -255,14 +258,17 @@ TEST_F(UniverseTest, CertifiedRefutations) {
                                  "cert");
   ASSERT_TRUE(R.Found) << R.Error;
   EXPECT_EQ(R.Cycles, 7u);
-  unsigned CertifiedRefutations = 0;
-  for (const Probe &P : R.Probes) {
-    if (P.Result != sat::SolveResult::Unsat)
-      continue;
-    EXPECT_TRUE(P.ProofChecked) << "K=" << P.Cycles;
-    ++CertifiedRefutations;
-  }
-  EXPECT_EQ(CertifiedRefutations, 6u); // K = 1..6 all certified impossible.
+  EXPECT_TRUE(R.LowerBoundProved);
+  // The ladder starts one below the 7-cycle critical path: K = 6 is
+  // certified impossible (and implies K = 1..5), K = 7 is the program.
+  EXPECT_EQ(R.CriticalPathBound, 7u);
+  ASSERT_EQ(R.Probes.size(), 2u);
+  EXPECT_EQ(R.Probes[0].Cycles, 6u);
+  EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
+  EXPECT_TRUE(R.Probes[0].ProofChecked);
+  EXPECT_GT(R.Probes[0].ProofSteps, 0u);
+  EXPECT_EQ(R.Probes[1].Cycles, 7u);
+  EXPECT_EQ(R.Probes[1].Result, sat::SolveResult::Sat);
 }
 
 } // namespace
