@@ -212,34 +212,42 @@ int main(int argc, char **argv) {
   std::string ExplainJson = "{\"gmas\": [\n";
   std::string EGraphDot, EGraphJson;
   bool FirstExplained = true;
+  // One --stats line per GMA; a failed search shows its rounds, critical
+  // path and probes too, and ends with the reason it failed.
+  auto PrintStats = [](const driver::GmaResult &G) {
+    std::printf("; %s: match %.2fs (%u rounds, %zu nodes, %llu raw "
+                "matches, %llu roots pruned); ",
+                G.Gma.Name.c_str(), G.MatchSeconds, G.Matching.Rounds,
+                G.Matching.FinalNodes,
+                (unsigned long long)G.Matching.MatchesFound,
+                (unsigned long long)G.Matching.RootsPruned);
+    if (G.ok())
+      std::printf("max live regs %u; ",
+                  alpha::maxLiveRegisters(G.Search.Program));
+    if (G.Search.CriticalPathBound == ~0u)
+      std::printf("critical path none; budgets:");
+    else
+      std::printf("critical path %u; budgets:", G.Search.CriticalPathBound);
+    for (const codegen::Probe &P : G.Search.Probes)
+      std::printf(" %s", codegen::describeProbe(P).c_str());
+    if (G.Search.CancelledProbes)
+      std::printf(" (%zu cancelled, wall %.2fs, cpu %.2fs)",
+                  G.Search.CancelledProbes, G.Search.WallSeconds,
+                  G.Search.CpuSeconds);
+    if (!G.ok())
+      std::printf("; %s", G.Error.c_str());
+    std::printf("\n");
+  };
   for (driver::GmaResult &G : R.Gmas) {
     EGraphDot += G.EGraphDotText;
     EGraphJson += G.EGraphJsonText;
+    if (Stats)
+      PrintStats(G);
     if (!G.ok()) {
       std::fprintf(stderr, "%s: %s: %s\n", Path, G.Gma.Name.c_str(),
                    G.Error.c_str());
       AllOk = false;
       continue;
-    }
-    if (Stats) {
-      std::printf("; %s: match %.2fs (%u rounds, %zu nodes, %llu raw "
-                  "matches, %llu roots pruned); max live regs %u; ",
-                  G.Gma.Name.c_str(), G.MatchSeconds, G.Matching.Rounds,
-                  G.Matching.FinalNodes,
-                  (unsigned long long)G.Matching.MatchesFound,
-                  (unsigned long long)G.Matching.RootsPruned,
-                  alpha::maxLiveRegisters(G.Search.Program));
-      if (G.Search.CriticalPathBound == ~0u)
-        std::printf("critical path none; budgets:");
-      else
-        std::printf("critical path %u; budgets:", G.Search.CriticalPathBound);
-      for (const codegen::Probe &P : G.Search.Probes)
-        std::printf(" %s", codegen::describeProbe(P).c_str());
-      if (G.Search.CancelledProbes)
-        std::printf(" (%zu cancelled, wall %.2fs, cpu %.2fs)",
-                    G.Search.CancelledProbes, G.Search.WallSeconds,
-                    G.Search.CpuSeconds);
-      std::printf("\n");
     }
     if (Opts.WhyUnsat && !G.WhyUnsatText.empty())
       std::printf("; %s\n", G.WhyUnsatText.c_str());

@@ -85,7 +85,11 @@ Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
   Probe P;
   P.Cycles = K;
   P.Worker = support::ThreadPool::currentWorkerId();
-  sat::Solver S;
+  // The solver is freed under its own span: tearing down a probe-sized
+  // instance (one watch list per literal, the clause arena) is a visible
+  // share of a short probe.
+  std::optional<sat::Solver> Owned(std::in_place);
+  sat::Solver &S = *Owned;
   if (Opts.ConflictBudget)
     S.setConflictBudget(Opts.ConflictBudget);
   if (CancelFlag)
@@ -139,6 +143,10 @@ Probe runProbe(Encoder &Enc, const std::vector<NamedGoal> &Goals,
     P.ProofSteps = S.proof().size();
     P.ProofChecked = sat::checkRupProof(F, S.proof());
     P.ProofCheckSeconds = T.seconds();
+  }
+  {
+    obs::ObsSpan Free("search.probe.free");
+    Owned.reset();
   }
   return P;
 }

@@ -16,42 +16,48 @@ using denali::ir::Builtin;
 EGraph::EGraph(const ir::Context &Ctx, bool FoldConstants)
     : Ctx(Ctx), FoldConstants(FoldConstants) {}
 
-EGraph::Key EGraph::canonicalKey(const ENode &N) const {
-  Key K;
-  K.Op = N.Op;
-  K.ConstVal = N.ConstVal;
-  K.Children.reserve(N.Children.size());
-  for (ClassId C : N.Children)
-    K.Children.push_back(UF.find(C));
-  return K;
+uint32_t EGraph::keyHash(ir::OpId Op, const ClassId *Children, size_t N,
+                        uint64_t ConstVal) {
+  uint64_t H = hashMix(hashMix(0, Op), ConstVal);
+  for (size_t I = 0; I < N; ++I)
+    H = hashMix(H, Children[I]);
+  return hashFinish(H);
 }
 
-ENodeId EGraph::insertNode(ir::OpId Op, std::vector<ClassId> Children,
+bool EGraph::hasKey(ENodeId Id, ir::OpId Op, const ClassId *Children,
+                    size_t N, uint64_t ConstVal) const {
+  const ENode &M = Nodes[Id];
+  return M.Op == Op && M.ConstVal == ConstVal && M.Children.size() == N &&
+         std::equal(Children, Children + N, M.Children.begin());
+}
+
+ENodeId EGraph::insertNode(ir::OpId Op, const ClassId *Children, size_t N,
                            uint64_t ConstVal, bool &WasNew) {
-  for (ClassId &C : Children)
-    C = UF.find(C);
-  Key K{Op, Children, ConstVal};
-  auto It = Hashcons.find(K);
-  if (It != Hashcons.end()) {
-    WasNew = false;
-    return It->second;
-  }
-  WasNew = true;
+  KeyScratch.resize(N);
+  for (size_t I = 0; I < N; ++I)
+    KeyScratch[I] = UF.find(Children[I]);
+  const ClassId *Key = KeyScratch.data();
   ENodeId NId = static_cast<ENodeId>(Nodes.size());
+  ENodeId Found = Hashcons.insert(
+      keyHash(Op, Key, N, ConstVal), NId,
+      [&](ENodeId Id) { return hasKey(Id, Op, Key, N, ConstVal); });
+  WasNew = Found == NId;
+  if (!WasNew)
+    return Found;
   ClassId CId = UF.makeSet();
   assert(CId == ClassStates.size() && "class table out of sync");
   ClassStates.emplace_back();
-  Nodes.push_back(ENode{Op, Children, ConstVal, CId, true});
+  Nodes.push_back(
+      ENode{Op, std::vector<ClassId>(Key, Key + N), ConstVal, CId, true});
   NodeEpochs.push_back(0);
   MemberEpochs.push_back(0);
   stampNode(NId);
   ++LiveNodeCount;
-  Hashcons.emplace(std::move(K), NId);
   ClassStates[CId].Members.push_back(NId);
   if (Ctx.Ops.isConst(Op))
     ClassStates[CId].Constant = ConstVal;
-  for (ClassId C : Children)
-    ClassStates[C].Parents.push_back(NId);
+  for (size_t I = 0; I < N; ++I)
+    ClassStates[Key[I]].Parents.push_back(NId);
   OpIndex[Op].push_back(NId);
   if (FoldConstants)
     FoldQueue.push_back(NId);
@@ -59,21 +65,37 @@ ENodeId EGraph::insertNode(ir::OpId Op, std::vector<ClassId> Children,
   return NId;
 }
 
-ClassId EGraph::addNode(ir::OpId Op, const std::vector<ClassId> &Children) {
-  assert(static_cast<size_t>(Ctx.Ops.info(Op).Arity) == Children.size() &&
+ClassId EGraph::addNode(ir::OpId Op, const ClassId *Children,
+                        size_t NumChildren) {
+  assert(static_cast<size_t>(Ctx.Ops.info(Op).Arity) == NumChildren &&
          "arity mismatch");
   bool WasNew = false;
-  ENodeId N = insertNode(Op, Children, 0, WasNew);
+  ENodeId N = insertNode(Op, Children, NumChildren, 0, WasNew);
   ClassId C = classOf(N);
   if (WasNew && !InRebuild && Mode == RebuildMode::Eager)
     rebuild();
   return UF.find(C);
 }
 
+std::optional<ENodeId>
+EGraph::lookupNode(ir::OpId Op, const std::vector<ClassId> &Children,
+                   uint64_t ConstVal) const {
+  std::vector<ClassId> Key(Children.size());
+  for (size_t I = 0; I < Key.size(); ++I)
+    Key[I] = UF.find(Children[I]);
+  uint32_t Id = Hashcons.find(
+      keyHash(Op, Key.data(), Key.size(), ConstVal), [&](ENodeId N) {
+        return hasKey(N, Op, Key.data(), Key.size(), ConstVal);
+      });
+  if (Id == FlatIndex::NotFound)
+    return std::nullopt;
+  return Id;
+}
+
 ClassId EGraph::addConst(uint64_t Value) {
   bool WasNew = false;
   ENodeId N =
-      insertNode(Ctx.Ops.builtin(Builtin::Const), {}, Value, WasNew);
+      insertNode(Ctx.Ops.builtin(Builtin::Const), nullptr, 0, Value, WasNew);
   return classOf(N);
 }
 
@@ -351,49 +373,54 @@ size_t EGraph::numClasses() const {
 
 void EGraph::repair(ClassId C) {
   ++Stats.Repairs;
+  if (RepairStamp.size() < Nodes.size())
+    RepairStamp.resize(Nodes.size(), 0);
+  if (++RepairEpoch == 0) { // Wrapped: old stamps could collide.
+    std::fill(RepairStamp.begin(), RepairStamp.end(), 0);
+    RepairEpoch = 1;
+  }
   // Take ownership of the parent list; surviving entries are re-added.
-  std::vector<ENodeId> Parents;
-  Parents.swap(ClassStates[C].Parents);
-  std::unordered_set<ENodeId> Seen;
-  std::vector<ENodeId> NewParents;
-  for (ENodeId NId : Parents) {
-    if (!Seen.insert(NId).second)
+  // Merges below may append to C's (now empty) list meanwhile.
+  RepairParents.clear();
+  RepairParents.swap(ClassStates[C].Parents);
+  RepairKept.clear();
+  for (ENodeId NId : RepairParents) {
+    if (RepairStamp[NId] == RepairEpoch)
       continue;
+    RepairStamp[NId] = RepairEpoch;
     ENode &N = Nodes[NId];
     if (!N.Alive)
       continue;
-    // Erase the stale hashcons entry (keyed by the stored children).
-    Key OldKey{N.Op, N.Children, N.ConstVal};
-    auto OldIt = Hashcons.find(OldKey);
-    if (OldIt != Hashcons.end() && OldIt->second == NId)
-      Hashcons.erase(OldIt);
-    // Re-canonicalize and reinsert.
+    // Erase the entry keyed by the stored children, re-canonicalize them,
+    // and reinsert — unless a congruent twin already holds the new key.
+    Hashcons.erase(keyHash(N), NId);
     bool Changed = false;
     for (ClassId &Child : N.Children) {
       ClassId Canon = UF.find(Child);
       Changed |= Canon != Child;
       Child = Canon;
     }
-    Key NewKey{N.Op, N.Children, N.ConstVal};
-    auto It = Hashcons.find(NewKey);
-    if (It != Hashcons.end() && It->second != NId) {
+    ENodeId Twin = Hashcons.insert(keyHash(N), NId, [&](ENodeId Id) {
+      return hasKey(Id, N.Op, N.Children.data(), N.Children.size(),
+                    N.ConstVal);
+    });
+    if (Twin != NId) {
       // Congruent twin: merge classes, retire this node.
-      mergeClasses(classOf(NId), classOf(It->second),
-                   Justification::congruence(It->second, NId));
+      mergeClasses(classOf(NId), classOf(Twin),
+                   Justification::congruence(Twin, NId));
       N.Alive = false;
       --LiveNodeCount;
     } else {
-      Hashcons[NewKey] = NId;
       if (Changed) {
         stampNode(NId);
         if (FoldConstants)
           FoldQueue.push_back(NId);
       }
-      NewParents.push_back(NId);
+      RepairKept.push_back(NId);
     }
   }
   ClassStates[C].Parents.insert(ClassStates[C].Parents.end(),
-                                NewParents.begin(), NewParents.end());
+                                RepairKept.begin(), RepairKept.end());
 }
 
 void EGraph::processFoldQueue() {
@@ -412,8 +439,7 @@ void EGraph::processFoldQueue() {
       continue;
     if (classConstant(classOf(NId)))
       continue; // Already known constant.
-    std::vector<uint64_t> Args;
-    Args.reserve(N.Children.size());
+    FoldArgs.clear();
     bool AllConst = true;
     for (ClassId C : N.Children) {
       std::optional<uint64_t> V = classConstant(C);
@@ -421,11 +447,11 @@ void EGraph::processFoldQueue() {
         AllConst = false;
         break;
       }
-      Args.push_back(*V);
+      FoldArgs.push_back(*V);
     }
     if (!AllConst)
       continue;
-    uint64_t Val = ir::evalBuiltinInt(B, Args);
+    uint64_t Val = ir::evalBuiltinInt(B, FoldArgs);
     ClassId ConstClass = addConst(Val);
     mergeClasses(classOf(NId), ConstClass,
                  Justification::constantFold(NId));
@@ -494,11 +520,12 @@ void EGraph::rebuild() {
   // runs.
   for (;;) {
     if (!Worklist.empty()) {
-      std::vector<ClassId> Todo;
-      Todo.swap(Worklist);
-      std::sort(Todo.begin(), Todo.end());
-      Todo.erase(std::unique(Todo.begin(), Todo.end()), Todo.end());
-      for (ClassId C : Todo)
+      RepairTodo.clear();
+      RepairTodo.swap(Worklist);
+      std::sort(RepairTodo.begin(), RepairTodo.end());
+      RepairTodo.erase(std::unique(RepairTodo.begin(), RepairTodo.end()),
+                       RepairTodo.end());
+      for (ClassId C : RepairTodo)
         repair(UF.find(C));
       continue;
     }

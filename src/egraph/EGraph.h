@@ -31,6 +31,7 @@
 
 #include "egraph/UnionFind.h"
 #include "ir/Term.h"
+#include "support/FlatIndex.h"
 #include "support/FunctionRef.h"
 
 #include <array>
@@ -39,7 +40,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace denali {
@@ -163,8 +163,22 @@ public:
   // Construction
   //===--------------------------------------------------------------------===
 
-  /// Adds (or finds) the node op(children...). \returns its class.
-  ClassId addNode(ir::OpId Op, const std::vector<ClassId> &Children);
+  /// Adds (or finds) the node op(children...). \returns its class. The
+  /// children are canonicalized into a scratch key, so finding an existing
+  /// node allocates nothing.
+  ClassId addNode(ir::OpId Op, const ClassId *Children, size_t NumChildren);
+  ClassId addNode(ir::OpId Op, const std::vector<ClassId> &Children) {
+    return addNode(Op, Children.data(), Children.size());
+  }
+
+  /// The node op(children...) with \p Children canonicalized, or nullopt;
+  /// never mutates the graph. Once the graph is rebuilt this is exactly
+  /// the live node addNode would return (for a constant: Op is the Const
+  /// builtin and \p ConstVal its value); between rebuilds a node whose
+  /// stored children are stale may be missed.
+  std::optional<ENodeId> lookupNode(ir::OpId Op,
+                                    const std::vector<ClassId> &Children,
+                                    uint64_t ConstVal = 0) const;
 
   /// Adds (or finds) the constant \p Value.
   ClassId addConst(uint64_t Value);
@@ -323,9 +337,9 @@ public:
 
   /// Copies a substitution (variable -> canonical class bindings) into the
   /// graph's arena; \returns the slice start for Justification::SubstBegin.
-  uint32_t internSubst(const std::vector<ClassId> &Bindings) {
+  uint32_t internSubst(const ClassId *Bindings, size_t NumBindings) {
     uint32_t Begin = static_cast<uint32_t>(SubstArena.size());
-    SubstArena.insert(SubstArena.end(), Bindings.begin(), Bindings.end());
+    SubstArena.insert(SubstArena.end(), Bindings, Bindings + NumBindings);
     return Begin;
   }
   const std::vector<ClassId> &substArena() const { return SubstArena; }
@@ -370,25 +384,11 @@ private:
     stampMember(N);
   }
 
-  // Canonical-key hashcons.
-  struct Key {
-    ir::OpId Op;
-    std::vector<ClassId> Children;
-    uint64_t ConstVal;
-    bool operator==(const Key &O) const {
-      return Op == O.Op && ConstVal == O.ConstVal && Children == O.Children;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      size_t H = std::hash<uint64_t>()((static_cast<uint64_t>(K.Op) << 32) ^
-                                       K.ConstVal);
-      for (ClassId C : K.Children)
-        H = H * 1000003u ^ C;
-      return H;
-    }
-  };
-  std::unordered_map<Key, ENodeId, KeyHash> Hashcons;
+  // Hashcons: one entry per live node, keyed by that node's stored
+  // (Op, Children, ConstVal). repair() erases a node's entry before it
+  // re-canonicalizes the children, so no entry's key is ever stale.
+  FlatIndex Hashcons;
+  std::vector<ClassId> KeyScratch; ///< insertNode's canonical children.
 
   // Per-class state, indexed by (possibly stale) class id; authoritative
   // only at the canonical representative.
@@ -406,8 +406,15 @@ private:
   std::unordered_map<ir::OpId, std::vector<ENodeId>> OpIndex;
   std::vector<ENodeId> EmptyNodeList;
 
-  // Pending congruence repairs (classes whose parents must be rehashed).
-  std::vector<ClassId> Worklist;
+  // Pending congruence repairs (classes whose parents must be rehashed),
+  // and the batch rebuild() is draining.
+  std::vector<ClassId> Worklist, RepairTodo;
+  // repair() scratch: the parent list being rehashed, its survivors, and
+  // a per-node stamp that skips duplicate parents.
+  std::vector<ENodeId> RepairParents, RepairKept;
+  std::vector<uint32_t> RepairStamp;
+  uint32_t RepairEpoch = 0;
+  std::vector<uint64_t> FoldArgs; ///< processFoldQueue's operand values.
   // Nodes whose constant-fold status should be (re)checked.
   std::deque<ENodeId> FoldQueue;
 
@@ -441,8 +448,15 @@ private:
   /// Adds the proof-forest edge for a recorded merge of (pre-find) A and B.
   void proofLink(ClassId A, ClassId B, const Justification &J);
 
-  Key canonicalKey(const ENode &N) const;
-  ENodeId insertNode(ir::OpId Op, std::vector<ClassId> Children,
+  static uint32_t keyHash(ir::OpId Op, const ClassId *Children, size_t N,
+                          uint64_t ConstVal);
+  static uint32_t keyHash(const ENode &N) {
+    return keyHash(N.Op, N.Children.data(), N.Children.size(), N.ConstVal);
+  }
+  /// True if node \p Id's stored key is (Op, Children[0..N), ConstVal).
+  bool hasKey(ENodeId Id, ir::OpId Op, const ClassId *Children, size_t N,
+              uint64_t ConstVal) const;
+  ENodeId insertNode(ir::OpId Op, const ClassId *Children, size_t N,
                      uint64_t ConstVal, bool &WasNew);
   void mergeInto(ClassId Root, ClassId Gone);
   bool mergeClasses(ClassId A, ClassId B,

@@ -232,13 +232,14 @@ private:
 /// limits — so the merged result (and every statistic derived from it) is
 /// identical whether items run inline or fan out across a pool.
 ///
-/// Workers filter matches against the matcher's Done/Seen sets, which are
+/// Workers filter matches against the matcher's queued set, which is
 /// frozen for the whole match phase (inserts happen only in the
-/// single-threaded merge/instantiate phases) — concurrent lookups are
-/// data-race-free and, crucially, every filter decision is independent of
-/// what other items do, keeping the round deterministic. Survivors carry
-/// their 1-based raw-match index so the merge phase can truncate at
-/// exactly the axiom's budget across item boundaries.
+/// single-threaded merge phase) — concurrent lookups are data-race-free
+/// and, crucially, every filter decision is independent of what other
+/// items do, keeping the round deterministic. Survivors carry their
+/// 1-based raw-match index so the merge phase can truncate at exactly the
+/// axiom's budget across item boundaries, and their key hash so it need
+/// not hash them again.
 struct WorkItem {
   uint32_t AxiomIdx = 0;
   PatternId Trigger = 0;
@@ -247,11 +248,16 @@ struct WorkItem {
   uint64_t RawCap = 0;        ///< Stop enumerating at this many raw matches.
   size_t StoreCap = 0;        ///< Stop after this many stored survivors.
   uint64_t Raw = 0;           ///< Matches enumerated (pre-dedup).
-  uint64_t Deduped = 0;       ///< Filtered against Done or Seen.
-  uint64_t SeenHits = 0;      ///< Of Deduped, hits on the persistent set.
+  uint64_t Deduped = 0;       ///< Filtered against the queued set.
   uint64_t Pruned = 0;        ///< Roots skipped by the semi-naive filter.
-  std::vector<std::pair<uint64_t, std::vector<ClassId>>>
-      Matches;                ///< (raw index, canonical bindings) survivors.
+  struct Survivor {
+    uint64_t Raw;  ///< 1-based raw-match index within the item.
+    uint32_t Hash; ///< Key hash of (axiom, bindings).
+  };
+  std::vector<Survivor> Matches;
+  /// Survivor I's canonical bindings: the I-th run of the axiom's
+  /// variable count.
+  std::vector<ClassId> MatchBindings;
   bool Capped = false;        ///< Enumeration stopped at a cap.
   uint64_t Ns = 0;            ///< Wall time enumerating this item.
 };
@@ -288,62 +294,76 @@ unsigned Matcher::axiomPhase(const Axiom &A) {
   return 0;
 }
 
+uint32_t Matcher::keyHash(uint32_t AxiomIdx, const ClassId *Bindings) const {
+  uint64_t H = hashMix(0, AxiomIdx);
+  for (size_t I = 0, N = Axioms[AxiomIdx].VarNames.size(); I < N; ++I)
+    H = hashMix(H, Bindings[I]);
+  return hashFinish(H);
+}
+
+bool Matcher::keyEquals(uint32_t Off, uint32_t AxiomIdx,
+                        const ClassId *Bindings) const {
+  if (KeyArena[Off] != AxiomIdx)
+    return false;
+  const uint32_t *Stored = KeyArena.data() + Off + 1;
+  return std::equal(Bindings, Bindings + Axioms[AxiomIdx].VarNames.size(),
+                    Stored);
+}
+
 ClassId Matcher::instantiate(EGraph &G, const Axiom &A, PatternId Root,
-                             const std::vector<ClassId> &Bindings) {
+                             const ClassId *Bindings) {
   // Post-order by explicit stack with a value stack: each App pops its
   // children's classes. Stress axioms nest deeply enough that recursing
   // here was the one remaining unbounded-depth path under saturation.
-  struct Frame {
-    PatternId P;
-    size_t NextChild;
-  };
-  std::vector<Frame> Stack{{Root, 0}};
-  std::vector<ClassId> Values;
-  while (!Stack.empty()) {
-    Frame &F = Stack.back();
+  InstStack.clear();
+  InstStack.push_back({Root, 0});
+  InstValues.clear();
+  while (!InstStack.empty()) {
+    InstFrame &F = InstStack.back();
     const PatternNode &P = A.pattern(F.P);
     switch (P.TheKind) {
     case PatternNode::Kind::Var:
-      Values.push_back(Bindings[P.VarIndex]);
-      Stack.pop_back();
+      InstValues.push_back(Bindings[P.VarIndex]);
+      InstStack.pop_back();
       break;
     case PatternNode::Kind::Const:
-      Values.push_back(G.addConst(P.ConstVal));
-      Stack.pop_back();
+      InstValues.push_back(G.addConst(P.ConstVal));
+      InstStack.pop_back();
       break;
     case PatternNode::Kind::App:
       if (F.NextChild < P.Children.size()) {
         PatternId Child = P.Children[F.NextChild++];
-        Stack.push_back(Frame{Child, 0}); // May invalidate F.
+        InstStack.push_back({Child, 0}); // May invalidate F.
       } else {
         size_t N = P.Children.size();
-        std::vector<ClassId> Children(Values.end() - N, Values.end());
-        Values.resize(Values.size() - N);
-        Values.push_back(G.addNode(P.Op, Children));
-        Stack.pop_back();
+        ClassId C = G.addNode(P.Op, InstValues.data() + InstValues.size() - N,
+                              N);
+        InstValues.resize(InstValues.size() - N);
+        InstValues.push_back(C);
+        InstStack.pop_back();
       }
       break;
     }
   }
-  assert(Values.size() == 1 && "unbalanced pattern evaluation");
-  return Values.back();
+  assert(InstValues.size() == 1 && "unbalanced pattern evaluation");
+  return InstValues.back();
 }
 
 bool Matcher::assertInstance(EGraph &G, const Axiom &A, uint32_t AxiomIdx,
-                             unsigned Round,
-                             const std::vector<ClassId> &Bindings) {
+                             unsigned Round, const ClassId *Bindings) {
   uint64_t Before = G.version();
   if (A.Body.size() == 1) {
     const AxiomLiteral &L = A.Body[0];
     ClassId Lhs = instantiate(G, A, L.Lhs, Bindings);
     ClassId Rhs = instantiate(G, A, L.Rhs, Bindings);
     if (L.IsEq) {
-      if (G.provenanceEnabled())
+      if (G.provenanceEnabled()) {
+        const size_t NumVars = A.VarNames.size();
         G.assertEqual(Lhs, Rhs,
                       Justification::axiom(AxiomIdx, Round,
-                                           G.internSubst(Bindings),
-                                           Bindings.size()));
-      else
+                                           G.internSubst(Bindings, NumVars),
+                                           static_cast<uint32_t>(NumVars)));
+      } else
         G.assertEqual(Lhs, Rhs);
     } else
       G.assertDistinct(Lhs, Rhs);
@@ -550,30 +570,32 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     }
 
     // One work item: enumerate, canonicalize into a reused scratch key,
-    // filter against the frozen Done/Seen sets, store survivors. Locals
-    // move into the shared item once at the end so concurrent workers
-    // never write interleaved cache lines while the loop is hot.
+    // filter against the frozen queued set, store survivors. Locals move
+    // into the shared item once at the end so concurrent workers never
+    // write interleaved cache lines while the loop is hot.
     auto RunItem = [&](WorkItem &It) {
       const int64_t T0 = ProfileOn ? obs::nowNs() : 0;
       const Axiom &A = Axioms[It.AxiomIdx];
       const std::vector<ENodeId> &Roots =
           G.nodesWithOp(A.pattern(It.Trigger).Op);
-      uint64_t Raw = 0, Deduped = 0, SeenHits = 0;
+      uint64_t Raw = 0, Deduped = 0;
       bool Capped = false;
-      std::vector<std::pair<uint64_t, std::vector<ClassId>>> Matches;
-      DoneKey Scratch{It.AxiomIdx, {}};
+      std::vector<WorkItem::Survivor> Matches;
+      std::vector<ClassId> MatchBindings;
+      std::vector<ClassId> Scratch(A.VarNames.size());
       auto OnMatch = [&](const std::vector<ClassId> &Bs) -> bool {
         ++Raw;
-        Scratch.Bindings.resize(Bs.size());
         for (size_t I = 0; I < Bs.size(); ++I)
-          Scratch.Bindings[I] = G.find(Bs[I]);
-        if (Done.count(Scratch)) {
+          Scratch[I] = G.find(Bs[I]);
+        const uint32_t Hash = keyHash(It.AxiomIdx, Scratch.data());
+        if (Queued.find(Hash, [&](uint32_t Off) {
+              return keyEquals(Off, It.AxiomIdx, Scratch.data());
+            }) != FlatIndex::NotFound) {
           ++Deduped;
-        } else if (Seen.count(Scratch)) {
-          ++Deduped;
-          ++SeenHits;
         } else {
-          Matches.emplace_back(Raw, Scratch.Bindings);
+          Matches.push_back({Raw, Hash});
+          MatchBindings.insert(MatchBindings.end(), Scratch.begin(),
+                               Scratch.end());
         }
         if (Raw >= It.RawCap || Matches.size() >= It.StoreCap) {
           Capped = true;
@@ -586,9 +608,9 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
                              Roots.data() + It.End);
       It.Raw = Raw;
       It.Deduped = Deduped;
-      It.SeenHits = SeenHits;
       It.Capped = Capped;
       It.Matches = std::move(Matches);
+      It.MatchBindings = std::move(MatchBindings);
       if (ProfileOn) {
         It.Ns = static_cast<uint64_t>(obs::nowNs() - T0);
         // Attribute the item's wall time to the worker that ran it (slot
@@ -599,7 +621,7 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       }
     };
 
-    // Match generation: read-only against graph and dedup sets, so items
+    // Match generation: read-only against graph and queued set, so items
     // may run concurrently once union-find paths are fully compressed
     // (every find() is then a pure read). Instantiation and merging stay
     // single-threaded.
@@ -625,24 +647,34 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     }
 
     // Merge in item order: budget truncation, cross-item dedup, pending
-    // collection.
-    struct PendingInstance {
-      uint32_t AxiomIdx;
-      std::vector<ClassId> Bindings;
-    };
-    std::vector<PendingInstance> Pending;
+    // collection. Queueing an instance inserts its key (appended to the
+    // arena) into the queued set; Pending holds the arena offsets.
+    std::vector<uint32_t> Pending;
     // Axioms whose enumeration this round was complete; only those may
     // advance their epoch (a truncated one must re-find what it dropped).
     std::vector<uint8_t> Complete(NumAxioms, 0);
     uint64_t TopRaw = 0; // This round's busiest axiom, for the round span.
     uint32_t TopAIdx = 0;
+    // Queues (AIdx, Bindings) under Hash unless already queued. \returns
+    // false for a duplicate.
+    auto Enqueue = [&](uint32_t AIdx, const ClassId *Bindings,
+                       uint32_t Hash) {
+      const uint32_t Off = static_cast<uint32_t>(KeyArena.size());
+      if (Queued.insert(Hash, Off, [&](uint32_t Other) {
+            return keyEquals(Other, AIdx, Bindings);
+          }) != Off)
+        return false;
+      KeyArena.push_back(AIdx);
+      KeyArena.insert(KeyArena.end(), Bindings,
+                      Bindings + Axioms[AIdx].VarNames.size());
+      Pending.push_back(Off);
+      return true;
+    };
     for (uint32_t AIdx = 0; AIdx < NumAxioms; ++AIdx) {
       const Axiom &A = Axioms[AIdx];
       if (A.VarNames.empty()) {
         // Ground fact: assert once.
-        DoneKey Key{AIdx, {}};
-        if (!Done.count(Key))
-          Pending.push_back(PendingInstance{AIdx, {}});
+        Enqueue(AIdx, nullptr, keyHash(AIdx, nullptr));
         continue;
       }
       if (!Active[AIdx])
@@ -653,7 +685,6 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
            ++I) {
         Raw += Items[I].Raw;
         Stats.InstancesDeduped += Items[I].Deduped;
-        Stats.SeenHits += Items[I].SeenHits;
         Stats.RootsPruned += Items[I].Pruned;
         Truncated |= Items[I].Capped;
         if (ProfileOn)
@@ -669,33 +700,38 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
       uint64_t Budget = BudgetNow[AIdx];
       if (Budget && Raw > Budget)
         Truncated = true;
+      const size_t NumVars = A.VarNames.size();
       uint64_t PrefixRaw = 0;
       for (size_t I = AxiomItems[AIdx].first; I < AxiomItems[AIdx].second;
            ++I) {
-        for (std::pair<uint64_t, std::vector<ClassId>> &M :
-             Items[I].Matches) {
+        const WorkItem &It = Items[I];
+        for (size_t M = 0; M < It.Matches.size(); ++M) {
           // Keep only survivors within the first `Budget` raw matches of
           // the sequential enumeration order.
-          if (Budget && PrefixRaw + M.first > Budget)
+          if (Budget && PrefixRaw + It.Matches[M].Raw > Budget)
             break;
-          DoneKey Key{AIdx, std::move(M.second)};
-          if (Seen.count(Key)) {
-            // A cross-item duplicate earlier this round already queued
-            // this substitution (workers see Seen frozen at round start).
+          const ClassId *Bindings = It.MatchBindings.data() + M * NumVars;
+          const uint32_t Hash = It.Matches[M].Hash;
+          bool Duplicate;
+          if (Pending.size() >= Limits.MaxInstancesPerRound) {
+            // Dropped matches are NOT queued — the next round must be
+            // able to re-find them.
+            Duplicate = Queued.find(Hash, [&](uint32_t Off) {
+              return keyEquals(Off, AIdx, Bindings);
+            }) != FlatIndex::NotFound;
+            if (!Duplicate)
+              Truncated = true;
+          } else {
+            Duplicate = !Enqueue(AIdx, Bindings, Hash);
+          }
+          if (Duplicate) {
+            // An earlier item (or match) this round already queued this
+            // substitution: workers see the set frozen at round start.
             ++Stats.InstancesDeduped;
             ++Stats.SeenHits;
-            continue;
           }
-          if (Pending.size() >= Limits.MaxInstancesPerRound) {
-            // Dropped matches are NOT marked seen — the next round must
-            // be able to re-find them.
-            Truncated = true;
-            continue;
-          }
-          Pending.push_back(PendingInstance{AIdx, Key.Bindings});
-          Seen.insert(std::move(Key));
         }
-        PrefixRaw += Items[I].Raw;
+        PrefixRaw += It.Raw;
       }
       if (Truncated)
         SchedHeldBack = true;
@@ -736,21 +772,22 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
         break;
       if (G.isInconsistent())
         break;
-      PendingInstance &P = Pending[Instantiated];
-      Done.insert(DoneKey{P.AxiomIdx, P.Bindings});
-      if (ProfileOn && P.AxiomIdx != GroupAIdx) {
+      const uint32_t Off = Pending[Instantiated];
+      const uint32_t AIdx = KeyArena[Off];
+      if (ProfileOn && AIdx != GroupAIdx) {
         const int64_t Now = obs::nowNs();
         FlushGroup(Now);
-        GroupAIdx = P.AxiomIdx;
+        GroupAIdx = AIdx;
         GroupT0 = Now;
         GroupMerges0 = G.rebuildStats().Merges;
       }
-      bool Changed = assertInstance(G, Axioms[P.AxiomIdx], P.AxiomIdx,
-                                    Stats.Rounds, P.Bindings);
+      // instantiate() never touches the arena, so the key stays put.
+      bool Changed = assertInstance(G, Axioms[AIdx], AIdx, Stats.Rounds,
+                                    KeyArena.data() + Off + 1);
       if (Changed) {
         ++Stats.InstancesAsserted;
         if (ProfileOn) {
-          obs::AxiomProfile &AP = Stats.PerAxiom[P.AxiomIdx];
+          obs::AxiomProfile &AP = Stats.PerAxiom[AIdx];
           ++AP.Instances;
           if (!AP.FirstRound)
             AP.FirstRound = Stats.Rounds;
@@ -760,11 +797,13 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     }
     if (ProfileOn)
       FlushGroup(obs::nowNs());
-    // Instances cut off by the node cap were marked seen when queued;
-    // un-mark them so a later saturate() of this matcher can retry them.
+    // Instances cut off by the node cap were queued; un-queue them so a
+    // later round or saturate() of this matcher can retry them.
     for (size_t I = Instantiated; I < Pending.size(); ++I) {
-      Seen.erase(DoneKey{Pending[I].AxiomIdx, Pending[I].Bindings});
-      Complete[Pending[I].AxiomIdx] = 0;
+      const uint32_t Off = Pending[I];
+      const uint32_t AIdx = KeyArena[Off];
+      Queued.erase(keyHash(AIdx, KeyArena.data() + Off + 1), Off);
+      Complete[AIdx] = 0;
     }
     for (size_t I = 0; I < NumAxioms; ++I)
       if (Complete[I])
@@ -773,13 +812,6 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     // The batched per-round rebuild: close congruence over everything the
     // instances merged (one repair pass instead of one per assert).
     G.rebuild();
-
-    if (Seen.size() > Limits.SeenCap) {
-      // Cap the persistent set by flushing it outright; partial eviction
-      // could only save a few re-asserts and costs an eviction policy.
-      Stats.SeenEvictions += Seen.size();
-      Seen.clear();
-    }
 
     if (RoundSpan.active()) {
       RoundSpan.arg("round", Stats.Rounds)
@@ -844,7 +876,6 @@ MatchStats Matcher::saturate(EGraph &G, const MatchLimits &Limits) {
     R.counter("match.sched.budget_overflows").add(Stats.BudgetOverflows);
     R.counter("match.sched.budget_skips").add(Stats.BudgetSkips);
     R.counter("match.sched.seen_hits").add(Stats.SeenHits);
-    R.counter("match.sched.seen_evictions").add(Stats.SeenEvictions);
     R.counter("match.sched.roots_pruned").add(Stats.RootsPruned);
     R.counter("match.sched.phase_advances").add(Stats.PhaseAdvances);
     R.counter("match.sched.merges").add(Stats.Merges);

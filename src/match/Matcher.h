@@ -34,14 +34,19 @@
 ///     results merge in deterministic item order. Instantiation stays
 ///     single-threaded.
 ///
-/// The Done and Seen sets below filter every enumerated match by its
-/// canonical substitution. Under semi-naive matching they are a safety
-/// net: a match that binds only old nodes was already enumerated, so they
-/// only catch the same substitution re-found through new nodes (another
-/// trigger, a merged class) — and they keep instantiation exactly-once
-/// whatever the enumeration finds.
+/// One set of queued instances filters every enumerated match by its
+/// canonical substitution: a key enters when its instance is queued and
+/// leaves only if the node cap cuts the instance off before it is asserted,
+/// so after every round the set holds exactly the instances asserted so
+/// far. Workers probe it frozen at round start; a duplicate found in the
+/// same round (another trigger, another work item) is caught when its key
+/// is inserted at queue time. Under semi-naive matching the set is a
+/// safety net — a match that binds only old nodes was already enumerated —
+/// but it keeps instantiation exactly-once whatever the enumeration finds.
+/// Its keys live in an append-only arena and its index is a
+/// support::FlatIndex, so probing and queueing allocate nothing per match.
 ///
-/// A Matcher carries per-graph state (Done, Seen, the per-axiom epochs):
+/// A Matcher carries per-graph state (the queued set, the per-axiom epochs):
 /// saturate one graph with it, any number of times.
 ///
 //===----------------------------------------------------------------------===//
@@ -52,6 +57,7 @@
 #include "egraph/EGraph.h"
 #include "match/Axiom.h"
 #include "obs/ProfileLedger.h"
+#include "support/FlatIndex.h"
 
 #include <functional>
 #include <string>
@@ -80,9 +86,6 @@ struct MatchLimits {
   /// asserted instance instead of one batched rebuild per round
   /// (`--match-eager-rebuild`; the bench_egraph_scale A/B baseline).
   bool EagerRebuild = false;
-  /// Entry cap of the persistent (axiom, substitution) seen-set; the set
-  /// is flushed (counted as evictions) when it grows past this.
-  size_t SeenCap = 1u << 20;
   /// Per-axiom attribution (MatchStats::PerAxiom + match.axiom.* counters).
   /// Always on in production; the only reason to turn it off is the
   /// bench_egraph_scale overhead A/B (E20), which measures what the
@@ -115,8 +118,9 @@ struct MatchStats {
   // Scheduling decisions (surfaced as match.sched.* obs counters).
   uint64_t BudgetOverflows = 0; ///< Axiom-rounds truncated at their budget.
   uint64_t BudgetSkips = 0;     ///< Axiom-rounds sat out by backoff.
-  uint64_t SeenHits = 0;        ///< Persistent pending-instance dedup hits.
-  uint64_t SeenEvictions = 0;   ///< Seen-set entries dropped by cap flushes.
+  /// Of InstancesDeduped, duplicates of an instance queued earlier in the
+  /// same round (caught when the key is inserted).
+  uint64_t SeenHits = 0;
   uint64_t RootsPruned = 0; ///< Trigger roots skipped by semi-naive matching.
   uint64_t PhaseAdvances = 0;   ///< Times the active phase widened.
   // Graph-side work, as deltas of egraph::RebuildStats over the run.
@@ -178,39 +182,34 @@ private:
   /// (0 = never; the next enumeration is a full scan).
   std::vector<uint32_t> MatchedThrough;
 
-  // Instantiation dedup: (axiom index, canonical bindings) already asserted.
-  struct DoneKey {
-    uint32_t AxiomIdx;
-    std::vector<egraph::ClassId> Bindings;
-    bool operator==(const DoneKey &O) const {
-      return AxiomIdx == O.AxiomIdx && Bindings == O.Bindings;
-    }
+  /// The queued-instance set. Keys are laid out in KeyArena as [axiom,
+  /// bindings...] (the axiom fixes the length); Queued maps each key's
+  /// hash to its arena offset. A cut-off key is erased from Queued but
+  /// stays in the arena.
+  std::vector<uint32_t> KeyArena;
+  FlatIndex Queued;
+
+  uint32_t keyHash(uint32_t AxiomIdx, const egraph::ClassId *Bindings) const;
+  /// True if the key at arena offset \p Off is (AxiomIdx, Bindings).
+  bool keyEquals(uint32_t Off, uint32_t AxiomIdx,
+                 const egraph::ClassId *Bindings) const;
+
+  // instantiate()'s explicit stack and value stack, reused across calls.
+  struct InstFrame {
+    PatternId P;
+    size_t NextChild;
   };
-  struct DoneKeyHash {
-    size_t operator()(const DoneKey &K) const {
-      size_t H = K.AxiomIdx;
-      for (egraph::ClassId C : K.Bindings)
-        H = H * 1000003u ^ C;
-      return H;
-    }
-  };
-  std::unordered_set<DoneKey, DoneKeyHash> Done;
-  /// Persistent pending-instance dedup (promoted from PR 1's round-local
-  /// set): (axiom, substitution) pairs already queued in *some* round, so
-  /// re-found matches stop burning the per-round instance cap. Bounded by
-  /// MatchLimits::SeenCap; flushed (never partially evicted) so a dropped
-  /// entry can only cause a redundant re-assert, never a lost instance.
-  std::unordered_set<DoneKey, DoneKeyHash> Seen;
+  std::vector<InstFrame> InstStack;
+  std::vector<egraph::ClassId> InstValues;
 
   egraph::ClassId instantiate(egraph::EGraph &G, const Axiom &A, PatternId P,
-                              const std::vector<egraph::ClassId> &Bindings);
+                              const egraph::ClassId *Bindings);
 
   /// Asserts one axiom instance. \p AxiomIdx and \p Round feed the
   /// provenance justification when the graph records proofs. \returns true
   /// if anything changed.
   bool assertInstance(egraph::EGraph &G, const Axiom &A, uint32_t AxiomIdx,
-                      unsigned Round,
-                      const std::vector<egraph::ClassId> &Bindings);
+                      unsigned Round, const egraph::ClassId *Bindings);
 };
 
 /// Returns the standard elaborators: powers of two (enables k*2**n matches)

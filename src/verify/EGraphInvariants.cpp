@@ -86,6 +86,21 @@ denali::verify::checkEGraphInvariants(const egraph::EGraph &G) {
     }
   }
 
+  // Hashcons: exact once the graph is rebuilt (repair() re-keys every node
+  // whose children moved).
+  if (!G.rebuildPending())
+    for (ClassId C : Classes)
+      for (ENodeId N : G.classNodes(C)) {
+        const egraph::ENode &Node = G.node(N);
+        std::optional<ENodeId> Found =
+            G.lookupNode(Node.Op, Node.Children, Node.ConstVal);
+        if (Found != N)
+          Violate(strFormat("hashcons lookup of live node %u (%s) found %s",
+                            N, G.nodeToString(N).c_str(),
+                            Found ? strFormat("node %u", *Found).c_str()
+                                  : "nothing"));
+      }
+
   // Constant analysis: literal nodes agree with their class's folded
   // value; distinct constants are recognized as uncombinable.
   std::vector<std::pair<ClassId, uint64_t>> ConstClasses;

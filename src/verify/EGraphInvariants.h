@@ -16,7 +16,10 @@
 ///     node inside it, and two classes holding different constants are
 ///     recognized as distinct;
 ///   * accounting — numNodes() equals the number of live nodes reachable
-///     through the classes.
+///     through the classes;
+///   * hashcons — on a rebuilt graph, looking up every live node's
+///     canonical key finds that very node (so no retired node holds an
+///     entry, and no live node lost its own).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -492,6 +492,76 @@ TEST_P(EGraphRandomized, InvariantsHold) {
   }
 }
 
+TEST_P(EGraphRandomized, HashconsKeysMatchStoredNodes) {
+  // Random nodes and merges under deferred rebuilding, then one closing
+  // rebuild(): every live node's stored key must own its hashcons entry.
+  std::mt19937 Rng(GetParam());
+  ir::Context Ctx;
+  EGraph G(Ctx);
+  G.setRebuildMode(RebuildMode::Deferred);
+  std::vector<ir::OpId> Ops;
+  std::vector<ClassId> Pool;
+  for (int I = 0; I < 6; ++I) {
+    Ops.push_back(Ctx.Ops.makeVariable("v" + std::to_string(I)));
+    Pool.push_back(G.addNode(Ops.back(), {}));
+  }
+  const ir::OpId Neg = Ctx.Ops.builtin(Builtin::Neg64);
+  const ir::OpId Add = Ctx.Ops.builtin(Builtin::Add64);
+  const ir::OpId Store = Ctx.Ops.builtin(Builtin::Store);
+  Ops.insert(Ops.end(), {Neg, Add, Store});
+  // Every seed retires at least one congruent twin: -v0 and -v1 once
+  // v0 = v1.
+  G.addNode(Neg, {Pool[0]});
+  G.addNode(Neg, {Pool[1]});
+  G.assertEqual(Pool[0], Pool[1]);
+  auto RandomClass = [&]() { return Pool[Rng() % Pool.size()]; };
+  for (int Step = 0; Step < 240; ++Step) {
+    switch (Rng() % 5) {
+    case 0:
+      Pool.push_back(G.addNode(Neg, {RandomClass()}));
+      break;
+    case 1:
+      Pool.push_back(G.addNode(Add, {RandomClass(), RandomClass()}));
+      break;
+    case 2:
+      Pool.push_back(
+          G.addNode(Store, {RandomClass(), RandomClass(), RandomClass()}));
+      break;
+    default:
+      G.assertEqual(RandomClass(), RandomClass());
+      break;
+    }
+    if (Step % 60 == 59)
+      G.rebuild();
+  }
+  G.rebuild();
+  ASSERT_FALSE(G.isInconsistent());
+
+  const size_t NumNodes = G.numNodes();
+  const uint64_t Version = G.version();
+  size_t Retired = 0;
+  // The op index lists every node ever added, retired twins included.
+  for (ir::OpId Op : Ops)
+    for (ENodeId N : G.nodesWithOp(Op)) {
+      const bool Alive = G.node(N).Alive;
+      const std::vector<ClassId> Key = G.node(N).Children;
+      std::optional<ENodeId> Found = G.lookupNode(Op, Key);
+      ASSERT_TRUE(Found.has_value()) << "no entry for node " << N;
+      ASSERT_TRUE(G.node(*Found).Alive) << "retired node " << *Found
+                                        << " returned";
+      EXPECT_EQ(G.classOf(*Found), G.classOf(N));
+      if (Alive) {
+        EXPECT_EQ(*Found, N);
+        EXPECT_EQ(G.addNode(Op, Key), G.classOf(N));
+      } else {
+        ++Retired;
+      }
+    }
+  EXPECT_EQ(G.numNodes(), NumNodes);
+  EXPECT_EQ(G.version(), Version);
+  EXPECT_GT(Retired, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EGraphRandomized,
                          ::testing::Range(0u, 12u));
 

@@ -376,6 +376,43 @@ TEST_F(SaturationTest, FuelLimitStopsExplosion) {
   EXPECT_LE(G.numNodes(), Limits.MaxNodes + 4096); // Rebuild slack.
 }
 
+TEST_F(SaturationTest, NodeCapCutOffIsQueuedAgain) {
+  // Commuting ten sums queues ten instances in round 1; a node cap three
+  // nodes above the start cuts the batch off after three. The cut-off keys
+  // leave the queued set, so a later saturate() of the same matcher queues
+  // and asserts them instead of dismissing them as duplicates.
+  const int Sums = 10;
+  std::vector<std::pair<ClassId, ClassId>> Operands;
+  for (int I = 0; I < Sums; ++I) {
+    Operands.push_back(
+        {v("a" + std::to_string(I)), v("b" + std::to_string(I))});
+    app(Builtin::Add64, {Operands.back().first, Operands.back().second});
+  }
+  Matcher M{{parseOk(Ctx, R"((\axiom (forall (x y)
+                               (eq (\add64 x y) (\add64 y x)))))")}};
+  MatchLimits Capped;
+  Capped.MaxNodes = G.numNodes() + 3;
+  MatchStats First = M.saturate(G, Capped);
+  EXPECT_EQ(First.Rounds, 1u);
+  EXPECT_EQ(First.InstancesAsserted, 3u);
+  auto Commuted = [&](int I) {
+    return G
+        .lookupNode(Ctx.Ops.builtin(Builtin::Add64),
+                    {Operands[I].second, Operands[I].first})
+        .has_value();
+  };
+  int Before = 0;
+  for (int I = 0; I < Sums; ++I)
+    Before += Commuted(I);
+  EXPECT_EQ(Before, 3);
+
+  MatchStats Second = M.saturate(G);
+  EXPECT_TRUE(Second.Quiesced);
+  EXPECT_EQ(Second.InstancesAsserted, static_cast<uint64_t>(Sums - 3));
+  for (int I = 0; I < Sums; ++I)
+    EXPECT_TRUE(Commuted(I)) << "sum " << I << " never commuted";
+}
+
 //===----------------------------------------------------------------------===
 // Saturation soundness sweep: random small term DAGs, saturate, evaluate
 // all classes under several environments, expect zero violations.

@@ -13,8 +13,8 @@
 //    reruns exactly these tests to gate the loop's data-race freedom);
 //  * match budgets overflow, sit a round out, double, and still reach the
 //    unbudgeted closure; phased rule sets advance and reach the unphased
-//    closure; the persistent seen-set dedups re-found substitutions and
-//    evicts under its cap without changing the closure;
+//    closure; the queued-instance set dedups substitutions re-found within
+//    a round;
 //  * rebuild's congruence cascade is worklist-driven, so pathologically
 //    deep parent chains cannot overflow the stack in either mode;
 //  * semi-naive matching misses nothing: a fresh Matcher's first round is
@@ -203,7 +203,6 @@ void expectStatsIdentical(const match::MatchStats &A,
   EXPECT_EQ(A.BudgetOverflows, B.BudgetOverflows);
   EXPECT_EQ(A.BudgetSkips, B.BudgetSkips);
   EXPECT_EQ(A.SeenHits, B.SeenHits);
-  EXPECT_EQ(A.SeenEvictions, B.SeenEvictions);
   EXPECT_EQ(A.RootsPruned, B.RootsPruned);
   EXPECT_EQ(A.PhaseAdvances, B.PhaseAdvances);
   EXPECT_EQ(A.Merges, B.Merges);
@@ -300,7 +299,7 @@ TEST_P(ParallelDeterminism, BitIdenticalToSequential) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism, ::testing::Range(0u, 4u));
 
 //===----------------------------------------------------------------------===
-// Rule scheduling: budgets, phases, the persistent seen-set.
+// Rule scheduling: budgets, phases, the queued-instance set.
 //===----------------------------------------------------------------------===
 
 TEST(SaturationSchedule, BudgetBackoffReachesUnbudgetedClosure) {
@@ -430,32 +429,13 @@ TEST(SaturationSchedule, AxiomPhaseSplitsBuiltinRuleSet) {
 
 TEST(SaturationSchedule, PersistentSeenDedupsRefoundSubstitutions) {
   // Commutative axioms re-find each substitution through both triggers,
-  // so the persistent seen-set must take hits within a round; every hit
-  // is also counted in the deduped total.
+  // so the queued-instance set must catch duplicates within a round;
+  // every hit is also counted in the deduped total.
   ir::Context Ctx;
   std::vector<ir::TermId> Seeds = stressSeeds(Ctx, 7);
   SatRun R = runSat(Ctx, Seeds, roundsBounded(3));
   EXPECT_GT(R.Stats.SeenHits, 0u);
   EXPECT_GE(R.Stats.InstancesDeduped, R.Stats.SeenHits);
-  EXPECT_EQ(R.Stats.SeenEvictions, 0u); // Default cap is ample here.
-}
-
-TEST(SaturationSchedule, SeenCapFlushCountsEvictionsKeepsClosure) {
-  ir::Context Ctx;
-  std::vector<ir::TermId> Seeds = stressSeeds(Ctx, 7);
-
-  SatRun Ample = runSat(Ctx, Seeds, roundsBounded(3));
-  match::MatchLimits Tiny = roundsBounded(3);
-  Tiny.SeenCap = 1; // Flush after every round that queued instances.
-  SatRun T = runSat(Ctx, Seeds, Tiny);
-
-  EXPECT_GT(T.Stats.SeenEvictions, 0u);
-  // Dropping seen-set entries only costs redundant re-asserts (the Done
-  // set still filters instantiation); the closure cannot change.
-  EXPECT_EQ(T.Partition, Ample.Partition);
-  EXPECT_EQ(T.Stats.FinalNodes, Ample.Stats.FinalNodes);
-  EXPECT_EQ(T.Stats.FinalClasses, Ample.Stats.FinalClasses);
-  EXPECT_EQ(T.Stats.MatchesFound, Ample.Stats.MatchesFound);
 }
 
 //===----------------------------------------------------------------------===

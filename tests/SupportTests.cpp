@@ -1,5 +1,6 @@
 //===- tests/SupportTests.cpp - support library unit tests ---------------===//
 
+#include "support/FlatIndex.h"
 #include "support/FunctionRef.h"
 #include "support/Json.h"
 #include "support/StringExtras.h"
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <random>
 #include <set>
 #include <stdexcept>
 
@@ -235,4 +238,155 @@ TEST(ThreadPoolTest, DiscardsQueuedTasksOnDestruction) {
     // started, but the pool must shut down promptly either way.
   }
   EXPECT_LE(Ran.load(), 8);
+}
+
+//===----------------------------------------------------------------------===
+// FlatIndex: keys live in the owner's storage (here a vector of values;
+// an id is an index into it), hashes come from the owner.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+struct IndexOwner {
+  std::vector<uint64_t> Keys;
+  FlatIndex Index;
+  uint32_t (*HashOf)(uint64_t) = [](uint64_t K) {
+    return hashFinish(hashMix(0, K));
+  };
+
+  uint32_t find(uint64_t Key) const {
+    return Index.find(HashOf(Key),
+                      [&](uint32_t Id) { return Keys[Id] == Key; });
+  }
+  /// Adds Key unless present; \returns its id either way.
+  uint32_t insert(uint64_t Key) {
+    uint32_t Id = static_cast<uint32_t>(Keys.size());
+    uint32_t Got = Index.insert(HashOf(Key), Id, [&](uint32_t Other) {
+      return Keys[Other] == Key;
+    });
+    if (Got == Id)
+      Keys.push_back(Key);
+    return Got;
+  }
+  bool erase(uint64_t Key) {
+    uint32_t Id = find(Key);
+    return Id != FlatIndex::NotFound && Index.erase(HashOf(Key), Id);
+  }
+};
+
+/// The home slot FlatIndex documents: Fibonacci hashing of the owner's
+/// hash onto a power-of-two table.
+size_t homeSlot(uint32_t Hash, size_t Capacity) {
+  unsigned Bits = 0;
+  while ((size_t(1) << Bits) < Capacity)
+    ++Bits;
+  return static_cast<uint32_t>(Hash * 0x9E3779B9u) >> (32 - Bits);
+}
+
+} // namespace
+
+TEST(FlatIndexTest, EmptyIndexFindsAndErasesNothing) {
+  IndexOwner O;
+  EXPECT_EQ(O.find(7), FlatIndex::NotFound);
+  EXPECT_FALSE(O.Index.erase(123, 0));
+  EXPECT_EQ(O.Index.size(), 0u);
+}
+
+TEST(FlatIndexTest, InsertIsIdempotentPerKey) {
+  IndexOwner O;
+  EXPECT_EQ(O.insert(10), 0u);
+  EXPECT_EQ(O.insert(20), 1u);
+  EXPECT_EQ(O.insert(10), 0u); // Existing id, nothing stored.
+  EXPECT_EQ(O.Keys.size(), 2u);
+  EXPECT_EQ(O.Index.size(), 2u);
+  EXPECT_EQ(O.find(20), 1u);
+}
+
+TEST(FlatIndexTest, ForcedCollisionsStayDistinct) {
+  // Every key hashes alike: one probe run, told apart by Eq alone.
+  IndexOwner O;
+  O.HashOf = [](uint64_t) { return 42u; };
+  for (uint64_t K = 0; K < 40; ++K)
+    EXPECT_EQ(O.insert(K * 3), K);
+  for (uint64_t K = 0; K < 40; ++K) {
+    EXPECT_EQ(O.find(K * 3), K);
+    EXPECT_EQ(O.find(K * 3 + 1), FlatIndex::NotFound);
+  }
+  // Erase from the middle of the run, then everything after it must
+  // still be reachable (backward shift closes the hole).
+  for (uint64_t K = 0; K < 40; K += 2)
+    EXPECT_TRUE(O.erase(K * 3));
+  for (uint64_t K = 0; K < 40; ++K)
+    EXPECT_EQ(O.find(K * 3), K % 2 ? K : FlatIndex::NotFound);
+  EXPECT_EQ(O.Index.size(), 20u);
+}
+
+TEST(FlatIndexTest, EraseAcrossTheWrapAround) {
+  // Four keys whose home is the last slot of the 16-slot table occupy
+  // slots 15, 0, 1, 2; a fifth key homed at slot 0 lands behind them.
+  IndexOwner O;
+  O.insert(1000); // First insert sizes the table.
+  ASSERT_EQ(O.Index.capacity(), 16u);
+  ASSERT_TRUE(O.erase(1000));
+  std::vector<uint64_t> Last, First;
+  for (uint64_t K = 0; Last.size() < 4 || First.empty(); ++K) {
+    size_t Home = homeSlot(O.HashOf(K), 16);
+    if (Home == 15 && Last.size() < 4)
+      Last.push_back(K);
+    else if (Home == 0 && First.empty())
+      First.push_back(K);
+  }
+  for (uint64_t K : Last)
+    O.insert(K);
+  O.insert(First[0]);
+  ASSERT_EQ(O.Index.capacity(), 16u); // No growth reshuffled the run.
+  // Erasing the entry in slot 15 shifts the wrapped entries back across
+  // the boundary; the slot-0 key must move too, to stay reachable.
+  EXPECT_TRUE(O.erase(Last[0]));
+  EXPECT_EQ(O.find(Last[0]), FlatIndex::NotFound);
+  for (size_t I = 1; I < 4; ++I)
+    EXPECT_NE(O.find(Last[I]), FlatIndex::NotFound) << I;
+  EXPECT_NE(O.find(First[0]), FlatIndex::NotFound);
+  EXPECT_TRUE(O.erase(Last[2]));
+  EXPECT_NE(O.find(Last[1]), FlatIndex::NotFound);
+  EXPECT_NE(O.find(Last[3]), FlatIndex::NotFound);
+  EXPECT_NE(O.find(First[0]), FlatIndex::NotFound);
+  EXPECT_EQ(O.Index.size(), 3u);
+}
+
+TEST(FlatIndexTest, GrowthKeepsEveryEntry) {
+  IndexOwner O;
+  for (uint64_t K = 0; K < 5000; ++K)
+    O.insert(K * 0x10001);
+  EXPECT_EQ(O.Index.size(), 5000u);
+  EXPECT_GE(O.Index.capacity(), 2 * O.Index.size()); // Load <= 1/2.
+  for (uint64_t K = 0; K < 5000; ++K)
+    ASSERT_EQ(O.find(K * 0x10001), K);
+  EXPECT_EQ(O.find(5000 * 0x10001), FlatIndex::NotFound);
+}
+
+TEST(FlatIndexTest, EraseThenFindAgainstReference) {
+  // Random inserts and erases over a small key space (so runs are long
+  // and wrap), checked against std::map after every operation batch.
+  std::mt19937 Rng(7);
+  IndexOwner O;
+  O.HashOf = [](uint64_t K) { return static_cast<uint32_t>(K % 97); };
+  std::map<uint64_t, uint32_t> Ref;
+  for (int Step = 0; Step < 20000; ++Step) {
+    uint64_t K = Rng() % 400;
+    if (Rng() % 3) {
+      // Present keys keep their id; an erased key returns under a new one.
+      uint32_t Id = O.insert(K);
+      ASSERT_EQ(Ref.emplace(K, Id).first->second, Id);
+    } else {
+      ASSERT_EQ(O.erase(K), Ref.erase(K) == 1);
+    }
+    if (Step % 500 == 0)
+      for (uint64_t Q = 0; Q < 400; ++Q) {
+        auto It = Ref.find(Q);
+        ASSERT_EQ(O.find(Q), It == Ref.end() ? FlatIndex::NotFound
+                                             : It->second);
+      }
+  }
+  EXPECT_EQ(O.Index.size(), Ref.size());
 }

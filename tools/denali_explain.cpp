@@ -39,7 +39,7 @@
 //     summary instead (`--metrics-out`, BENCH_*.metrics.txt), reports the
 //     saturation scheduling work from the match.* / match.sched.* counters
 //     — rounds, matches, semi-naive root pruning, merges, rebuild passes,
-//     budget backoff, seen-set dedup — with per-round averages, so a
+//     budget backoff, same-round duplicates — with per-round averages, so a
 //     scheduling regression is diagnosable from a metrics file alone.
 //
 //   denali_explain rules <ledger.jsonl> [--top N]
@@ -449,10 +449,8 @@ int egraphMetricsReport(const char *Path, const std::string &Text) {
               C("match.sched.budget_skips"));
   std::printf("  %-22s %12llu\n", "phase advances",
               C("match.sched.phase_advances"));
-  std::printf("  %-22s %12llu\n", "seen-set hits",
+  std::printf("  %-22s %12llu\n", "same-round duplicates",
               C("match.sched.seen_hits"));
-  std::printf("  %-22s %12llu\n", "seen-set evictions",
-              C("match.sched.seen_evictions"));
   return 0;
 }
 
