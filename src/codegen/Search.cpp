@@ -179,13 +179,16 @@ SearchResult &runLinearLadder(SearchResult &Result, const SearchOptions &Opts,
   return Result;
 }
 
-/// Binary search: find a feasible Hi by doubling, then bisect
+/// Binary search: find a feasible Hi by galloping from the ladder's start
+/// (offsets 0, 1, 2, 4, 8, ...: the start sits just below the critical-path
+/// bound, so the minimal K is usually among the first probes), then bisect
 /// [Lo = largest proved-infeasible + 1, Hi = smallest known-feasible].
 template <typename ProbeFn>
 SearchResult &runBinaryLadder(SearchResult &Result, const SearchOptions &Opts,
                               unsigned Start, ProbeFn &&ProbeK) {
   unsigned Lo = Start;
   unsigned Hi = Start;
+  unsigned Offset = 0;
   std::optional<machine::Program> BestProg;
   unsigned BestK = 0;
   int BestIdx = -1;
@@ -210,7 +213,8 @@ SearchResult &runBinaryLadder(SearchResult &Result, const SearchOptions &Opts,
       Result.Error = strFormat("no program within %u cycles", Opts.MaxCycles);
       return Result;
     }
-    Hi = std::min(Opts.MaxCycles, Hi * 2);
+    Offset = Offset ? Offset * 2 : 1;
+    Hi = Opts.MaxCycles - Start > Offset ? Start + Offset : Opts.MaxCycles;
   }
   while (Lo < BestK) {
     unsigned Mid = Lo + (BestK - Lo) / 2;

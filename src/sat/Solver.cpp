@@ -391,7 +391,7 @@ void Solver::analyze(CRef Confl, ClauseLits &Learnt, int &BacktrackLevel) {
           noteUnitTags(V, ResolveTags);
         continue;
       }
-      SeenFlags[V] = 1;
+      SeenFlags[V] = SeenSource;
       SeenToClear.push_back(V);
       varBumpActivity(V);
       if (Level[V] >= decisionLevel())
@@ -405,7 +405,7 @@ void Solver::analyze(CRef Confl, ClauseLits &Learnt, int &BacktrackLevel) {
     --TrailIdx;
     P = Trail[TrailIdx];
     Cur = Reason[P.var()];
-    SeenFlags[P.var()] = 0;
+    SeenFlags[P.var()] = SeenNone;
     --Counter;
   } while (Counter > 0);
   Learnt[0] = ~P;
@@ -419,8 +419,12 @@ void Solver::analyze(CRef Confl, ClauseLits &Learnt, int &BacktrackLevel) {
     if (Reason[Learnt[I].var()] == InvalidCRef ||
         !litRedundant(Learnt[I], AbstractLevels))
       Learnt[Keep++] = Learnt[I];
+    else if (CoreTracking)
+      TagStack.push_back(Learnt[I].var());
   }
   Learnt.resize(Keep);
+  if (CoreTracking)
+    noteMinimizationTags();
 
   // Compute backtrack level and move its literal to position 1.
   BacktrackLevel = 0;
@@ -434,45 +438,81 @@ void Solver::analyze(CRef Confl, ClauseLits &Learnt, int &BacktrackLevel) {
   }
 
   for (Var V : SeenToClear)
-    SeenFlags[V] = 0;
+    SeenFlags[V] = SeenNone;
   SeenToClear.clear();
 }
 
 bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
-  // DFS over the implication graph; a literal is redundant if every path
-  // to decisions passes through literals already in the learnt clause.
-  std::vector<Var> Stack = {L.var()};
-  size_t ClearFrom = SeenToClear.size();
-  while (!Stack.empty()) {
-    Var V = Stack.back();
-    Stack.pop_back();
+  // Iterative DFS over the implication graph below L (Sörensson and Biere,
+  // "Minimizing Learned Clauses"): a var is removable if every literal of
+  // its reason is at level 0, in the clause, or removable itself. Both
+  // verdicts stay in SeenFlags for the rest of the conflict, so no reason
+  // is expanded twice however many clause literals share it. A var fails
+  // locally if it is a decision, already failed, or at a level no clause
+  // literal has (then it cannot be implied by them).
+  assert(SeenFlags[L.var()] == SeenSource && Reason[L.var()] != InvalidCRef &&
+         "redundancy check of a decision or a non-clause literal");
+  MinimizeStack.clear();
+  Var V = L.var();
+  uint32_t Next = 1; // Lits[0] of a reason is the var it implies.
+  for (;;) {
     CRef R = Reason[V];
-    assert(R != InvalidCRef && "redundancy check reached a decision");
-    // Minimization performs extra resolutions; their provenance joins the
-    // learnt clause's (collected even when the check later fails — a
-    // harmless overapproximation for an attribution core).
-    if (CoreTracking)
-      noteClauseTags(R, ResolveTags);
-    const Lit *Lits = clauseLits(R);
-    uint32_t Size = clauseSize(R);
-    for (uint32_t J = 1; J < Size; ++J) {
-      Var W = Lits[J].var();
-      if (SeenFlags[W] || Level[W] == 0)
+    if (Next < clauseSize(R)) {
+      Var W = clauseLits(R)[Next++].var();
+      uint8_t Flag = SeenFlags[W];
+      if (Level[W] == 0 || Flag == SeenSource || Flag == SeenRemovable)
         continue;
-      if (Reason[W] == InvalidCRef ||
+      if (Flag == SeenFailed || Reason[W] == InvalidCRef ||
           !(AbstractLevels & (1u << (Level[W] & 31)))) {
-        // Not provably redundant; undo marks made during this check.
-        for (size_t K = ClearFrom; K < SeenToClear.size(); ++K)
-          SeenFlags[SeenToClear[K]] = 0;
-        SeenToClear.resize(ClearFrom);
+        // W's cone leaves the clause, so neither V nor any var on the DFS
+        // path above it is implied by the clause.
+        MinimizeStack.push_back({V, Next});
+        for (const MinimizeFrame &F : MinimizeStack)
+          if (SeenFlags[F.V] == SeenNone) {
+            SeenFlags[F.V] = SeenFailed;
+            SeenToClear.push_back(F.V);
+          }
         return false;
       }
-      SeenFlags[W] = 1;
-      SeenToClear.push_back(W);
-      Stack.push_back(W);
+      MinimizeStack.push_back({V, Next});
+      V = W;
+      Next = 1;
+      continue;
+    }
+    // Every literal of V's reason is accounted for.
+    if (SeenFlags[V] == SeenNone) {
+      SeenFlags[V] = SeenRemovable;
+      SeenToClear.push_back(V);
+    }
+    if (MinimizeStack.empty())
+      return true;
+    V = MinimizeStack.back().V;
+    Next = MinimizeStack.back().Next;
+    MinimizeStack.pop_back();
+  }
+}
+
+void Solver::noteMinimizationTags() {
+  // Dropping a literal resolves the learnt clause with its reason, then
+  // with the reasons of the removable vars that reason brings in, down to
+  // clause literals: exactly the removable cone below the removed
+  // literals. A var proved removable by a check that failed higher up is
+  // outside every such cone unless a later removal reaches it, so its
+  // reason's tags stay out of the core.
+  while (!TagStack.empty()) {
+    Var V = TagStack.back();
+    TagStack.pop_back();
+    CRef R = Reason[V];
+    noteClauseTags(R, ResolveTags);
+    const Lit *Lits = clauseLits(R);
+    for (uint32_t J = 1; J < clauseSize(R); ++J) {
+      Var W = Lits[J].var();
+      if (Level[W] != 0 && SeenFlags[W] == SeenRemovable) {
+        SeenFlags[W] = SeenTagged;
+        TagStack.push_back(W);
+      }
     }
   }
-  return true;
 }
 
 void Solver::backtrack(int ToLevel) {

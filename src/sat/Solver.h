@@ -2,7 +2,8 @@
 ///
 /// \file
 /// A conflict-driven clause-learning SAT solver: two-watched-literal
-/// propagation, first-UIP conflict analysis with clause minimization,
+/// propagation, first-UIP conflict analysis with recursive clause
+/// minimization (each implication cone walked at most once per conflict),
 /// VSIDS-style variable activities, phase saving, Luby restarts, and
 /// activity-based learnt-clause deletion.
 ///
@@ -121,10 +122,13 @@ public:
   void setClauseTag(uint32_t Tag) { CurrentTag = Tag; }
 
   /// Turns on clause-core tracking: conflict analysis additionally unions,
-  /// per learnt clause, the tags of every clause resolved to derive it, so
-  /// that an Unsat answer can report which *problem* clause tags are in the
-  /// final implication cone (coreTags()). Off by default — the per-conflict
-  /// set unions are not free, so only dedicated explain probes enable it.
+  /// per learnt clause, the tags of exactly the clauses resolved to derive
+  /// it (the first-UIP resolutions, plus the reasons minimization resolves
+  /// to drop a literal; reasons a failed redundancy check only looked at
+  /// are left out), so that an Unsat answer can report which *problem*
+  /// clause tags are in the final implication cone (coreTags()). Off by
+  /// default — the per-conflict set unions are not free, so only dedicated
+  /// explain probes enable it.
   void enableCoreTracking() { CoreTracking = true; }
 
   /// After an Unsat answer with core tracking on: the sorted distinct
@@ -244,9 +248,29 @@ private:
   // Scratch for addClause()'s normalization.
   ClauseLits AddScratch;
 
-  // Scratch for analyze().
+  // Scratch for analyze(). SeenFlags holds one of the Seen* states per var;
+  // every var given a nonzero state is listed in SeenToClear, and analyze()
+  // resets them all once the learnt clause is final, so minimization's
+  // verdicts last for the whole conflict.
+  enum : uint8_t {
+    SeenNone = 0,
+    SeenSource = 1,    ///< Marked by the first-UIP walk (clause literals).
+    SeenRemovable = 2, ///< Outside the clause but implied by its literals.
+    SeenFailed = 3,    ///< Not implied by the clause literals.
+    SeenTagged = 4,    ///< Removable, and its reason's tags are noted.
+  };
   std::vector<uint8_t> SeenFlags;
   std::vector<Var> SeenToClear;
+  /// litRedundant's DFS: a var whose reason is being scanned, and the index
+  /// of the next reason literal to look at.
+  struct MinimizeFrame {
+    Var V;
+    uint32_t Next;
+  };
+  std::vector<MinimizeFrame> MinimizeStack;
+  /// Core tracking: literals minimization removed, then the removable vars
+  /// below them whose reasons were resolved.
+  std::vector<Var> TagStack;
 
   LBool value(Lit L) const {
     LBool V = Assigns[L.var()];
@@ -269,6 +293,7 @@ private:
   void finalizeCore();
   void captureModel();
   bool litRedundant(Lit L, uint32_t AbstractLevels);
+  void noteMinimizationTags();
   void backtrack(int ToLevel);
   Lit pickBranchLit();
 

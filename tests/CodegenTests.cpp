@@ -693,6 +693,91 @@ TEST(CriticalPathBoundCases, GuardOnThePath) {
   EXPECT_EQ(R.Probes[0].Result, sat::SolveResult::Unsat);
 }
 
+//===----------------------------------------------------------------------===
+// Probe ladders on the sample programs: the budgets probed, and the solver
+// effort per probe. The per-probe conflict and decision counts pin the
+// search itself, so a solver or encoder change that claims to keep it
+// identical is checked on the paper's own programs.
+//===----------------------------------------------------------------------===
+
+driver::CompileResult compileSample(const char *File,
+                                    const SearchOptions &Search) {
+  std::ifstream In(std::string(DENALI_PROGRAMS_DIR) + "/" + File);
+  EXPECT_TRUE(In) << File;
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  driver::Options Opts;
+  Opts.Search = Search;
+  driver::Superoptimizer Opt(Opts);
+  return Opt.compileSource(Text.str());
+}
+
+/// One entry per GMA: "K[/conflicts/decisions] ..." over its probes.
+std::vector<std::string> probeLadders(const driver::CompileResult &C,
+                                      bool WithEffort) {
+  std::vector<std::string> Out;
+  for (const driver::GmaResult &R : C.Gmas) {
+    std::string Line;
+    for (const Probe &P : R.Search.Probes) {
+      if (!Line.empty())
+        Line += ' ';
+      Line += std::to_string(P.Cycles);
+      if (WithEffort) {
+        Line += '/';
+        Line += std::to_string(P.Conflicts);
+        Line += '/';
+        Line += std::to_string(P.Decisions);
+      }
+    }
+    Out.push_back(Line);
+  }
+  return Out;
+}
+
+TEST(SearchTrajectory, PerProbeEffortPinned) {
+  struct Case {
+    const char *File;
+    bool Incremental;
+    std::vector<std::string> Want;
+  } Cases[] = {
+      {"byteswap4.dnl", false, {"3/0/0 4/24/209 5/33/581"}},
+      {"checksum.dnl",
+       false,
+       {"2/0/0 3/5/7 4/21/88", "3/0/0 4/10/33 5/155/1263",
+        "8/0/0 9/56/540 10/124/2902"}},
+      {"byteswap4.dnl", true, {"3/0/0 4/29/442 5/29/431"}},
+      {"checksum.dnl",
+       true,
+       {"2/0/0 3/5/28 4/4/165", "3/0/0 4/10/62 5/220/1378",
+        "8/0/0 9/79/845 10/51/2265"}},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::string(C.File) +
+                 (C.Incremental ? " incremental" : " fresh"));
+    SearchOptions Search;
+    Search.Incremental = C.Incremental;
+    driver::CompileResult R = compileSample(C.File, Search);
+    ASSERT_TRUE(R.ok()) << R.Error;
+    EXPECT_EQ(probeLadders(R, /*WithEffort=*/true), C.Want);
+  }
+}
+
+TEST(SearchTrajectory, BinaryGallopProbesLikeLinearOnByteswap4) {
+  // The minimal K (5) is one above the critical-path bound (4), so the
+  // gallop's offsets 0, 1, 2 from the ladder's start (3) reach it with
+  // nothing left to bisect.
+  SearchOptions Lin;
+  Lin.Strategy = SearchStrategy::Linear;
+  SearchOptions Bin;
+  Bin.Strategy = SearchStrategy::Binary;
+  driver::CompileResult RL = compileSample("byteswap4.dnl", Lin);
+  driver::CompileResult RB = compileSample("byteswap4.dnl", Bin);
+  ASSERT_TRUE(RL.ok()) << RL.Error;
+  ASSERT_TRUE(RB.ok()) << RB.Error;
+  EXPECT_EQ(probeLadders(RB, false), probeLadders(RL, false));
+  EXPECT_EQ(probeLadders(RB, false), std::vector<std::string>{"3 4 5"});
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, CriticalPathBound,
     // rv64 has one cluster, so its SingleCluster run would repeat this one.

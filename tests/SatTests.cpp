@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <random>
 #include <string>
 
@@ -402,21 +405,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnf, ::testing::Range(0u, 40u));
 // as seen through numClauses(), problemClauses() and addClause's answer.
 //===----------------------------------------------------------------------===
 
-/// The problem as text: clauses joined by " | ", literals as signed 1-based
-/// DIMACS numbers, "[]" for the empty clause.
+/// \p C as signed 1-based DIMACS numbers separated by spaces.
+std::string clauseText(const ClauseLits &C) {
+  std::string Out;
+  for (size_t I = 0; I < C.size(); ++I) {
+    if (I)
+      Out += ' ';
+    Out += std::to_string(C[I].negative() ? -(C[I].var() + 1)
+                                          : C[I].var() + 1);
+  }
+  return Out;
+}
+
+/// The problem as text: clauses joined by " | ", "[]" for the empty
+/// clause.
 std::string problemText(const Solver &S) {
   std::string Out;
   for (const ClauseLits &C : S.problemClauses()) {
     if (!Out.empty())
       Out += " | ";
-    if (C.empty())
-      Out += "[]";
-    for (size_t I = 0; I < C.size(); ++I) {
-      if (I)
-        Out += ' ';
-      Out += std::to_string(C[I].negative() ? -(C[I].var() + 1)
-                                            : C[I].var() + 1);
-    }
+    Out += C.empty() ? "[]" : clauseText(C);
   }
   return Out;
 }
@@ -855,5 +863,309 @@ TEST_P(RandomUnsatProofs, AllCertified) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomUnsatProofs, ::testing::Range(0u, 15u));
+
+} // namespace
+
+//===----------------------------------------------------------------------===
+// Clause minimization on hand-built implication graphs. Assumptions act as
+// the decisions, one level each, and the last one triggers the conflict, so
+// each test fixes exactly which analysis runs. The tests read back the
+// first learnt clause from the proof log, or its provenance through
+// coreTags(). Variables are numbered from 1 in the comments and the
+// expected clauses (DIMACS style).
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// \p Dimacs (signed, 1-based literals) as a clause.
+ClauseLits dimacsClause(const std::vector<int> &Dimacs) {
+  ClauseLits Lits;
+  for (int D : Dimacs)
+    Lits.push_back(Lit(std::abs(D) - 1, D < 0));
+  return Lits;
+}
+
+/// A solver over \p NumVars variables holding \p Clauses (DIMACS
+/// literals), with proof logging on.
+void loadDimacs(Solver &S, int NumVars,
+                const std::vector<std::vector<int>> &Clauses) {
+  for (int I = 0; I < NumVars; ++I)
+    S.newVar();
+  S.enableProofLogging();
+  for (const std::vector<int> &C : Clauses)
+    S.addClause(dimacsClause(C));
+}
+
+/// Adds the clause \p Clause (DIMACS literals) stamped with \p Tag.
+void addTagged(Solver &S, uint32_t Tag, const std::vector<int> &Clause) {
+  S.setClauseTag(Tag);
+  S.addClause(dimacsClause(Clause));
+  S.setClauseTag(0);
+}
+
+/// Solves under the positive literals \p Decisions (DIMACS variables) and
+/// \returns the first learnt clause.
+std::string firstLearnt(Solver &S, const std::vector<int> &Decisions) {
+  std::vector<Lit> Assumptions;
+  for (int D : Decisions)
+    Assumptions.push_back(Lit::pos(D - 1));
+  EXPECT_EQ(S.solve(Assumptions), SolveResult::Unsat);
+  EXPECT_GE(S.proof().size(), 2u); // The learnt clause, then the final one.
+  if (S.proof().empty())
+    return "";
+  ClauseLits Learnt = S.proof()[0];
+  std::sort(Learnt.begin(), Learnt.end());
+  return clauseText(Learnt);
+}
+
+TEST(Minimization, SharedConeReachingOutsideDecisionKeepsBoth) {
+  // Level 1: decision 1 implies 2, and 2 implies both 3 and 4. Level 2:
+  // decision 5 implies 6 and 7, which contradict 3 and 4. The first UIP
+  // clause is (-3 -4 -5); 3's check walks 3 <- 2 <- 1 and fails on
+  // decision 1, which is outside the clause. 4's check meets 2 again and
+  // fails on the verdict already recorded for it, without expanding 2's
+  // reason a second time.
+  Solver S;
+  loadDimacs(S, 7,
+             {{-1, 2}, {-2, 3}, {-2, 4}, {-5, 6}, {-5, 7}, {-6, -7, -3, -4}});
+  EXPECT_EQ(firstLearnt(S, {1, 5}), "-3 -4 -5");
+}
+
+TEST(Minimization, SharedRemovableConeDropsBoth) {
+  // As above, but the conflict also holds decision 1 itself: 2 is implied
+  // by a clause literal, so 3 and 4 are both redundant, the second through
+  // 2's recorded verdict.
+  Solver S;
+  loadDimacs(S, 7,
+             {{-1, 2},
+              {-2, 3},
+              {-2, 4},
+              {-5, 6},
+              {-5, 7},
+              {-6, -7, -3, -4, -1}});
+  EXPECT_EQ(firstLearnt(S, {1, 5}), "-1 -5");
+}
+
+TEST(Minimization, AbstractLevelRejection) {
+  // Level 1: decision 1 implies 2. Level 2: decision 3 implies 4, and 2
+  // with 4 implies 5. Level 3: decision 6 implies 7 and 8, which
+  // contradict 5 and 3. The clause (-3 -5 -6) holds no level-1 literal, so
+  // 5's check stops at 2 without expanding it: nothing at level 1 can be
+  // implied by the clause.
+  {
+    Solver S;
+    loadDimacs(S, 8,
+               {{-1, 2},
+                {-3, 4},
+                {-2, -4, 5},
+                {-6, 7},
+                {-6, 8},
+                {-7, -8, -5, -3}});
+    EXPECT_EQ(firstLearnt(S, {1, 3, 6}), "-3 -5 -6");
+  }
+  // With 2 in the conflict, level 1 is in the clause and 5 is redundant.
+  {
+    Solver S;
+    loadDimacs(S, 8,
+               {{-1, 2},
+                {-3, 4},
+                {-2, -4, 5},
+                {-6, 7},
+                {-6, 8},
+                {-7, -8, -5, -3, -2}});
+    EXPECT_EQ(firstLearnt(S, {1, 3, 6}), "-2 -3 -6");
+  }
+}
+
+TEST(Minimization, FailedCheckTagsStayOutOfTheCore) {
+  // Solve 1 learns L = (-3 -4 -6) from decisions 1 and 6: 6 implies 7 and
+  // 8, which contradict 3 and 4 (tag 4). The checks of 3 and 4 expand
+  // their reasons (tags 2, 3, and 2's reason, tag 1, down to decision 1)
+  // and fail, so neither literal is dropped and none of those reasons is
+  // resolved into L: L's provenance is tags 4, 7 and 8 only. 9 is implied
+  // by 4 (tag 9) and feeds 3's reason, so 3's check may prove it removable
+  // before failing; its reason is not resolved into L either.
+  //
+  // Solve 2 assumes 5 and then 6: 5 implies 3 and 4 directly (tags 5, 6),
+  // L propagates -6, and the final conflict rests on L and on tags 5 and
+  // 6. The reasons the failed checks expanded must not appear.
+  Solver S;
+  for (int I = 0; I < 9; ++I)
+    S.newVar();
+  S.enableCoreTracking();
+  addTagged(S, 1, {-1, 2});
+  addTagged(S, 2, {-2, -9, 3});
+  addTagged(S, 3, {-2, 4});
+  addTagged(S, 9, {-4, 9});
+  addTagged(S, 4, {-7, -8, -3, -4});
+  addTagged(S, 5, {-5, 3});
+  addTagged(S, 6, {-5, 4});
+  addTagged(S, 7, {-6, 7});
+  addTagged(S, 8, {-6, 8});
+  ASSERT_EQ(S.solve({Lit::pos(0), Lit::pos(5)}), SolveResult::Unsat);
+  ASSERT_EQ(S.solve({Lit::pos(4), Lit::pos(5)}), SolveResult::Unsat);
+  EXPECT_EQ(S.coreTags(), (std::vector<uint32_t>{4, 5, 6, 7, 8}));
+}
+
+TEST(Minimization, RemovedConeTagsJoinTheCore) {
+  // Solve 1, from decisions 1 and 4: 1 implies 2 (tag 1) and 2 implies 3
+  // (tag 2); 4 implies 5 and 6 (tags 7, 8), which contradict 3 and 1
+  // (tag 4). Minimization drops 3 from (-1 -3 -4): 3 <- 2 <- 1 ends in a
+  // clause literal, so L = (-1 -4) is resolved with 3's reason and with
+  // 2's, one level further down, and its provenance is tags 1, 2, 4, 7
+  // and 8.
+  //
+  // Solve 2 assumes 7 and then 4: 7 implies 1 (tag 5), L propagates -4,
+  // and the final conflict walks only L and 1's reason, so tags 1 and 2
+  // reach the core through L's provenance alone.
+  Solver S;
+  for (int I = 0; I < 7; ++I)
+    S.newVar();
+  S.enableCoreTracking();
+  addTagged(S, 1, {-1, 2});
+  addTagged(S, 2, {-2, 3});
+  addTagged(S, 4, {-5, -6, -3, -1});
+  addTagged(S, 5, {-7, 1});
+  addTagged(S, 7, {-4, 5});
+  addTagged(S, 8, {-4, 6});
+  ASSERT_EQ(S.solve({Lit::pos(0), Lit::pos(3)}), SolveResult::Unsat);
+  ASSERT_EQ(S.solve({Lit::pos(6), Lit::pos(3)}), SolveResult::Unsat);
+  EXPECT_EQ(S.coreTags(), (std::vector<uint32_t>{1, 2, 4, 5, 7, 8}));
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===
+// Search-trajectory pins: exact counters and a hash of the learnt-clause
+// log on seeded instances. Any change to propagation, analysis,
+// minimization, restarts, clause deletion or the decision order moves at
+// least one of these numbers, so a solver change that claims to keep the
+// search identical is checked here, and one that does not must update the
+// table and say why.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+struct Trajectory {
+  SolveResult Result;
+  uint64_t Conflicts;
+  uint64_t Decisions;
+  uint64_t Propagations;
+  uint64_t LearntClauses;
+  uint64_t ProofHash; ///< FNV-1a over the learnt-clause log.
+};
+
+bool operator==(const Trajectory &A, const Trajectory &B) {
+  return A.Result == B.Result && A.Conflicts == B.Conflicts &&
+         A.Decisions == B.Decisions && A.Propagations == B.Propagations &&
+         A.LearntClauses == B.LearntClauses && A.ProofHash == B.ProofHash;
+}
+
+std::ostream &operator<<(std::ostream &OS, const Trajectory &T) {
+  return OS << "{" << (T.Result == SolveResult::Sat ? "Sat" : "Unsat")
+            << ", " << T.Conflicts << ", " << T.Decisions << ", "
+            << T.Propagations << ", " << T.LearntClauses << ", 0x" << std::hex
+            << T.ProofHash << std::dec << "}";
+}
+
+/// FNV-1a over every literal code of \p Proof, with a separator word
+/// closing each clause.
+uint64_t proofHash(const std::vector<ClauseLits> &Proof) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto mix = [&H](uint32_t Word) {
+    for (int Byte = 0; Byte < 4; ++Byte) {
+      H ^= (Word >> (8 * Byte)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  };
+  for (const ClauseLits &C : Proof) {
+    for (Lit L : C)
+      mix(static_cast<uint32_t>(L.index()));
+    mix(0xffffffffu);
+  }
+  return H;
+}
+
+Trajectory solveTrajectory(int NumVars, const std::vector<ClauseLits> &Cnf) {
+  Solver S;
+  for (int I = 0; I < NumVars; ++I)
+    S.newVar();
+  S.enableProofLogging();
+  for (const ClauseLits &C : Cnf)
+    S.addClause(C);
+  SolveResult R = S.solve();
+  const SolverStats &St = S.stats();
+  return {R,         St.Conflicts,     St.Decisions,
+          St.Propagations, St.LearntClauses, proofHash(S.proof())};
+}
+
+std::vector<ClauseLits> random3Sat(unsigned Seed, int NumVars,
+                                   int NumClauses) {
+  std::mt19937 Rng(Seed);
+  std::vector<ClauseLits> Cnf;
+  for (int I = 0; I < NumClauses; ++I) {
+    ClauseLits C;
+    for (int J = 0; J < 3; ++J)
+      C.push_back(Lit(static_cast<Var>(Rng() % NumVars), Rng() & 1));
+    Cnf.push_back(C);
+  }
+  return Cnf;
+}
+
+std::vector<ClauseLits> pigeonhole(int Pigeons, int Holes) {
+  std::vector<ClauseLits> Cnf;
+  auto VarOf = [&](int Pg, int H) { return Pg * Holes + H; };
+  for (int Pg = 0; Pg < Pigeons; ++Pg) {
+    ClauseLits Row;
+    for (int H = 0; H < Holes; ++H)
+      Row.push_back(Lit::pos(VarOf(Pg, H)));
+    Cnf.push_back(Row);
+  }
+  for (int H = 0; H < Holes; ++H)
+    for (int P1 = 0; P1 < Pigeons; ++P1)
+      for (int P2 = P1 + 1; P2 < Pigeons; ++P2)
+        Cnf.push_back({Lit::neg(VarOf(P1, H)), Lit::neg(VarOf(P2, H))});
+  return Cnf;
+}
+
+TEST(SolverTrajectory, Random3SatPinned) {
+  // 150 variables at the 3-SAT phase transition (4.26 clauses per
+  // variable): 800 to 3,700 conflicts each, both answers represented, and
+  // the longer runs pass the first learnt-clause reduction.
+  const Trajectory Want[] = {
+      {SolveResult::Unsat, 804, 952, 23582, 796, 0xfb49cdfd1e370cddull},
+      {SolveResult::Unsat, 1073, 1274, 31529, 1061, 0xba61f8abe3a78d22ull},
+      {SolveResult::Unsat, 3240, 3946, 99760, 3231, 0x4a2dae2ec89425bfull},
+      {SolveResult::Unsat, 2390, 2840, 78490, 2375, 0xd39c1813183cd21eull},
+      {SolveResult::Sat, 1015, 1254, 32344, 1015, 0x4f701e768fc9e0feull},
+      {SolveResult::Sat, 1546, 1859, 50832, 1546, 0x543aeb04030d64a4ull},
+      {SolveResult::Sat, 3692, 4485, 120555, 3691, 0x00d11829281590fbull},
+      {SolveResult::Unsat, 2831, 3378, 95733, 2826, 0x5a8273b416d42355ull},
+  };
+  bool AnySat = false, AnyUnsat = false;
+  for (unsigned Seed = 0; Seed < std::size(Want); ++Seed) {
+    Trajectory Got = solveTrajectory(150, random3Sat(Seed + 1, 150, 639));
+    EXPECT_EQ(Got, Want[Seed]) << "seed " << Seed;
+    AnySat |= Got.Result == SolveResult::Sat;
+    AnyUnsat |= Got.Result == SolveResult::Unsat;
+  }
+  EXPECT_TRUE(AnySat && AnyUnsat);
+}
+
+TEST(SolverTrajectory, PigeonholePinned) {
+  struct Case {
+    int Pigeons, Holes;
+    Trajectory Want;
+  } Cases[] = {
+      {6, 5, {SolveResult::Unsat, 150, 190, 1792, 147, 0x1e4286eda2e4e078ull}},
+      {7, 6, {SolveResult::Unsat, 810, 949, 10600, 807, 0x2a01d5695d88845bull}},
+      {8, 7, {SolveResult::Unsat, 4414, 5363, 56684, 4409, 0xb7d576febb46bf3cull}},
+  };
+  for (const Case &C : Cases) {
+    Trajectory Got =
+        solveTrajectory(C.Pigeons * C.Holes, pigeonhole(C.Pigeons, C.Holes));
+    EXPECT_EQ(Got, C.Want) << C.Pigeons << " into " << C.Holes;
+  }
+}
 
 } // namespace
